@@ -18,7 +18,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bounds import lp_sharp_bounds, natural_bounds, theta_profile
+from .bounds import (lp_sharp_bounds, natural_bounds, response_type_ate,
+                     response_type_pi, theta_profile)
 from .continuous import continuous_bounds
 from .crossfit import DEFAULT_EPS, DEFAULT_FOLDS, cross_fit, rng_stream
 from .data import ColumnMapping, LoadError, load_csv
@@ -169,9 +170,17 @@ def _cmd_bounds(args) -> int:
         raise ValueError("--t requires --t-rule fixed")
 
     if args.method == "continuous":
+        # The folds and the propensity ignore the outcome, so only the first
+        # replicate fits them; later replicates refit the joint cells alone.
+        folded = None
+
         def factory(aug):
-            return cross_fit(aug, args.folds, pi_spec, lam_spec,
-                             args.seed, args.eps)
+            nonlocal folded
+            if folded is None:
+                folded = cross_fit(aug, args.folds, pi_spec, lam_spec,
+                                   args.seed, args.eps)
+                return folded
+            return folded.refit_joint(aug, pi_spec)
         est = continuous_bounds(data, factory, args.m, args.seed)
         interval = wald_interval(est, args.delta)
         diagnostics = {"outcome_scale": est.extra["scale"]}
@@ -240,7 +249,6 @@ def _cmd_check(args) -> int:
     failures = []
     for i in range(args.laws):
         q = rng.dirichlet(np.ones(16))
-        from .bounds import response_type_ate, response_type_pi
         pi = response_type_pi(q)
         prof = theta_profile(pi[None])
         lp = lp_sharp_bounds(pi)

@@ -8,7 +8,7 @@ own documented stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -138,10 +138,31 @@ class FoldedNuisances:
     models: list[SingleModelNuisances]     # trained on the fold's complement
     seed: int
     descriptor: dict = field(default_factory=dict)
+    fitted_on: Dataset | None = field(default=None, repr=False)
 
     @property
     def n_folds(self) -> int:
         return len(self.models)
+
+    def refit_joint(self, data: Dataset, pi_learner: LearnerSpec) -> "FoldedNuisances":
+        """Copy with every fold's joint cells refit on ``data``.
+
+        The folds and the propensity models depend on (x, z, w) only, so they
+        are shared; ``data`` may differ from the fitted rows in its outcome
+        alone.
+        """
+        ref = self.fitted_on
+        if ref is None or data.n != ref.n or not all(
+                np.array_equal(a, b) for a, b in
+                ((data.x, ref.x), (data.z, ref.z), (data.w, ref.w))):
+            raise ValueError("dataset differs from the rows the folds were fitted on")
+        models = []
+        for k, model in enumerate(self.models):
+            train = data.subset(np.flatnonzero(self.folds != k))
+            models.append(SingleModelNuisances(
+                model.propensity, {z: fit_joint(train, z, pi_learner) for z in (0, 1)}))
+        return replace(self, models=models,
+                       descriptor={**self.descriptor, "pi": pi_learner.name})
 
     def evaluate(self, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
         if len(self.folds) != data.n:
@@ -191,7 +212,7 @@ def cross_fit(data: Dataset, n_folds: int, pi_learner: LearnerSpec,
         ))
     return FoldedNuisances(folds, models, seed,
                            {"pi": pi_learner.name, "lambda": lambda_learner.name,
-                            "folds": n_folds, "eps": eps})
+                            "folds": n_folds, "eps": eps}, data)
 
 
 @dataclass

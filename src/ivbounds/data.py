@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,10 +88,14 @@ class ColumnMapping:
 
 def _parse_float(value: str, row_no: int, col: str) -> float:
     try:
-        return float(value)
+        v = float(value)
     except ValueError:
         raise LoadError("malformed-numeric",
                         f"row {row_no}: column '{col}' value {value!r} is not numeric")
+    if not math.isfinite(v):
+        raise LoadError("non-finite",
+                        f"row {row_no}: column '{col}' value {value!r} is not finite")
+    return v
 
 
 def _parse_binary(value: str, row_no: int, col: str) -> int:
@@ -105,8 +110,9 @@ def load_csv(path, mapping: ColumnMapping,
              outcome_kind: str = "binary") -> Dataset:
     """Load a header-mapped CSV into a typed Dataset.
 
-    Rows with missing required fields are rejected with their row numbers
-    (1-based, counting the header as row 0).
+    Rows with missing required fields or non-finite values (``nan``,
+    ``inf``) are rejected with their row numbers (1-based, counting the
+    header as row 0).
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)

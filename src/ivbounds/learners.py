@@ -75,7 +75,12 @@ class HistogramPartition:
 
     Splits greedily maximize the weighted multinomial log-likelihood over a
     quantile grid of candidate thresholds, subject to a depth cap and a
-    minimum cell count.
+    minimum cell count.  Each node scores every threshold of a feature in
+    one pass: rows are binned into the sorted unique thresholds, class
+    counts per bin are accumulated from each end, and the gains are
+    evaluated together.  Within a feature the first threshold of maximal
+    gain wins; a later feature wins only with a strictly greater gain, and
+    no split is made unless the gain exceeds 1e-12.
     """
 
     def __init__(self, n_classes: int, max_depth: int = 4, min_cell: int = 25,
@@ -93,36 +98,44 @@ class HistogramPartition:
 
     @staticmethod
     def _loglik(counts):
-        total = counts.sum()
-        if total <= 0:
-            return 0.0
-        pos = counts[counts > 0]
-        return float(np.sum(pos * np.log(pos / total)))
+        """Multinomial log-likelihood of the class counts on the last axis."""
+        total = counts.sum(axis=-1, keepdims=True)
+        ratio = np.divide(counts, total, out=np.ones(counts.shape), where=counts > 0)
+        return np.sum(counts * np.log(ratio), axis=-1)
+
+    def _split(self, X, labels, w):
+        """(feature, threshold) of the best split, or None."""
+        k = self.n_classes
+        n = len(labels)
+        base = self._loglik(np.bincount(labels, weights=w, minlength=k))
+        levels = np.linspace(0, 1, self.n_thresholds + 2)[1:-1]
+        best_gain, best = 1e-12, None
+        for j in range(X.shape[1]):
+            col = X[:, j]
+            thr = np.unique(np.quantile(col, levels))
+            # A row lies left of thr[i] exactly when its bin is <= i.
+            bins = np.searchsorted(thr, col)
+            cells = np.bincount(bins * k + labels, weights=w,
+                                minlength=(len(thr) + 1) * k).reshape(-1, k)
+            left = np.cumsum(cells, axis=0)[:-1]
+            right = np.cumsum(cells[::-1], axis=0)[-2::-1]
+            n_left = np.cumsum(np.bincount(bins, minlength=len(thr) + 1))[:-1]
+            gain = self._loglik(left) + self._loglik(right) - base
+            gain[(n_left < self.min_cell) | (n - n_left < self.min_cell)] = -np.inf
+            i = int(np.argmax(gain))
+            if gain[i] > best_gain:
+                best_gain, best = gain[i], (j, thr[i])
+        return best
 
     def _build(self, X, labels, w, depth):
         node = self._leaf(labels, w)
         if depth >= self.max_depth or len(labels) < 2 * self.min_cell:
             return node
-        base = self._loglik(np.bincount(labels, weights=w, minlength=self.n_classes))
-        best = None
-        for j in range(X.shape[1]):
-            col = X[:, j]
-            qs = np.quantile(col, np.linspace(0, 1, self.n_thresholds + 2)[1:-1])
-            for thr in np.unique(qs):
-                left = col <= thr
-                n_left = int(left.sum())
-                if n_left < self.min_cell or len(labels) - n_left < self.min_cell:
-                    continue
-                gain = (self._loglik(np.bincount(labels[left], weights=w[left],
-                                                 minlength=self.n_classes))
-                        + self._loglik(np.bincount(labels[~left], weights=w[~left],
-                                                   minlength=self.n_classes))
-                        - base)
-                if gain > 1e-12 and (best is None or gain > best[0]):
-                    best = (gain, j, thr, left)
-        if best is None:
+        split = self._split(X, labels, w)
+        if split is None:
             return node
-        _, j, thr, left = best
+        j, thr = split
+        left = X[:, j] <= thr
         node.update(feature=j, threshold=thr,
                     left=self._build(X[left], labels[left], w[left], depth + 1),
                     right=self._build(X[~left], labels[~left], w[~left], depth + 1))

@@ -3,7 +3,12 @@ import json
 import numpy as np
 import pytest
 
+import ivbounds.crossfit as crossfit
 from ivbounds.cli import main
+from ivbounds.continuous import continuous_bounds
+from ivbounds.data import ColumnMapping, load_csv
+from ivbounds.estimators import wald_interval
+from ivbounds.learners import parse_learner_spec
 from ivbounds.simulation import gen_illustration
 
 
@@ -12,6 +17,18 @@ def write_illustration_csv(path, n=800, seed=0):
     lines = ["x1,x2,z,a,y"]
     for i in range(d.n):
         lines.append(f"{d.x[i,0]:.6f},{d.x[i,1]:.6f},{d.z[i]},{d.a[i]},{int(d.y[i])}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def write_continuous_csv(path, n=400, seed=3, bad_row=None):
+    d = gen_illustration(n, seed)
+    rng = np.random.default_rng(1)
+    lines = ["x1,x2,z,a,y"]
+    for i in range(d.n):
+        yc = 2.0 * d.y[i] + rng.random()  # bounded continuous outcome
+        y = "nan" if i + 1 == bad_row else f"{yc:.5f}"
+        lines.append(f"{d.x[i,0]:.6f},{d.x[i,1]:.6f},{d.z[i]},{d.a[i]},{y}")
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -81,14 +98,7 @@ class TestBoundsCommand:
         assert weighted["lower"] != pytest.approx(plain["lower"], abs=1e-12)
 
     def test_continuous_method(self, tmp_path, capsys):
-        d = gen_illustration(400, 3)
-        rng = np.random.default_rng(1)
-        lines = ["x1,x2,z,a,y"]
-        for i in range(d.n):
-            yc = 2.0 * d.y[i] + rng.random()  # bounded continuous outcome
-            lines.append(f"{d.x[i,0]:.6f},{d.x[i,1]:.6f},{d.z[i]},{d.a[i]},{yc:.5f}")
-        csv = tmp_path / "c.csv"
-        csv.write_text("\n".join(lines) + "\n")
+        csv = write_continuous_csv(tmp_path / "c.csv")
         rc, report = run_json(capsys, [
             "bounds", str(csv), *BOUNDS_ARGS, "--method", "continuous",
             "--m", "5", "--folds", "3", "--seed", "2",
@@ -119,6 +129,17 @@ class TestBoundsCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "non-binary"
 
+    def test_non_finite_outcome_exits_2(self, tmp_path, capsys):
+        csv = write_continuous_csv(tmp_path / "c.csv", bad_row=17)
+        rc = main(["bounds", str(csv), *BOUNDS_ARGS, "--method", "continuous",
+                   "--m", "2", "--folds", "3"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "non-finite"
+        assert "row 17" in err["message"]
+
     def test_output_file(self, tmp_path, capsys):
         csv = write_illustration_csv(tmp_path / "d.csv", n=300)
         out = tmp_path / "report.json"
@@ -127,6 +148,64 @@ class TestBoundsCommand:
         assert rc == 0
         report = json.loads(out.read_text())
         assert report["n"] == 300
+
+
+class TestContinuousReuse:
+    K, M, SEED = 3, 4, 5
+    LEARNERS = ["--learner-pi", "knn:20", "--learner-lambda", "softmax"]
+
+    def run(self, capsys, csv):
+        return run_json(capsys, [
+            "bounds", str(csv), *BOUNDS_ARGS, "--method", "continuous",
+            "--m", str(self.M), "--folds", str(self.K), "--seed", str(self.SEED),
+            *self.LEARNERS])
+
+    def test_report_equals_refitting_every_replicate(self, tmp_path, capsys):
+        csv = write_continuous_csv(tmp_path / "c.csv")
+        rc, report = self.run(capsys, csv)
+        assert rc == 0
+        data = load_csv(csv, ColumnMapping(["x1", "x2"], "z", "a", "y"),
+                        "bounded-continuous")
+        pi, lam = (parse_learner_spec(v) for v in self.LEARNERS[1::2])
+        est = continuous_bounds(
+            data, lambda aug: crossfit.cross_fit(aug, self.K, pi, lam, self.SEED),
+            self.M, self.SEED)
+        lo, hi = wald_interval(est, 0.05)
+        assert (report["lower"], report["upper"]) == (est.lower, est.upper)
+        assert (report["var_lower"], report["var_upper"]) == (est.var_lower,
+                                                              est.var_upper)
+        assert (report["interval"]["lo"], report["interval"]["hi"]) == (lo, hi)
+
+    def test_propensity_fit_once_per_fold(self, tmp_path, capsys, monkeypatch):
+        calls = {"fit_propensity": 0, "fit_joint": 0}
+
+        def counting(name):
+            fn = getattr(crossfit, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+        for name in calls:
+            monkeypatch.setattr(crossfit, name, counting(name))
+        rc, _ = self.run(capsys, write_continuous_csv(tmp_path / "c.csv"))
+        assert rc == 0
+        assert calls == {"fit_propensity": self.K, "fit_joint": 2 * self.K * self.M}
+
+    @pytest.mark.parametrize("column", ["z", "w"])
+    def test_reuse_rejects_other_rows(self, column):
+        data = gen_illustration(300, 4)
+        spec = parse_learner_spec("histogram")
+        nuis = crossfit.cross_fit(data, 3, spec, spec, seed=4)
+        same_rows = data.replace_outcome(1.0 - data.y, "binary")
+        assert nuis.refit_joint(same_rows, spec).folds is nuis.folds
+        other = data.subset(np.arange(data.n))
+        if column == "z":
+            other.z[0] = 1 - other.z[0]
+        else:
+            other.w[0] = 2.0
+        with pytest.raises(ValueError, match="fitted on"):
+            nuis.refit_joint(other, spec)
 
 
 class TestOtherCommands:

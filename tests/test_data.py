@@ -75,6 +75,17 @@ class TestLoadCsv:
             load_csv(p, MAPPING)
         assert exc.value.code == "malformed-numeric"
 
+    @pytest.mark.parametrize("column,value", [
+        ("age", "nan"), ("y", "inf"), ("age", "-Infinity")])
+    def test_non_finite_cites_row(self, tmp_path, column, value):
+        good = "30,0,0,0.5"
+        bad = {"age": f"{value},1,1,0.5", "y": f"40,1,1,{value}"}[column]
+        p = write_csv(tmp_path, f"age,z,a,y\n{good}\n{good}\n{bad}\n")
+        with pytest.raises(LoadError) as exc:
+            load_csv(p, MAPPING, outcome_kind="bounded-continuous")
+        assert exc.value.code == "non-finite"
+        assert "row 3" in str(exc.value) and repr(column) in str(exc.value)
+
     def test_empty_file(self, tmp_path):
         p = write_csv(tmp_path, "")
         with pytest.raises(LoadError) as exc:

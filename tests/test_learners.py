@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivbounds.learners import (
     ConstantFrequency,
@@ -83,6 +85,143 @@ class TestHistogramPartition:
         labels = rng.integers(0, 4, 500)
         p = HistogramPartition(4).fit(x, labels, np.ones(500)).predict_proba(x)
         simplex_rows(p)
+
+
+def reference_loglik(counts):
+    total = counts.sum()
+    if total <= 0:
+        return 0.0
+    pos = counts[counts > 0]
+    return float(np.sum(pos * np.log(pos / total)))
+
+
+def reference_build(model, X, labels, w, depth=0):
+    """Brute-force split search: every threshold re-masks all rows."""
+    node = model._leaf(labels, w)
+    if depth >= model.max_depth or len(labels) < 2 * model.min_cell:
+        return node
+    k = model.n_classes
+    base = reference_loglik(np.bincount(labels, weights=w, minlength=k))
+    best = None
+    for j in range(X.shape[1]):
+        col = X[:, j]
+        qs = np.quantile(col, np.linspace(0, 1, model.n_thresholds + 2)[1:-1])
+        for thr in np.unique(qs):
+            left = col <= thr
+            n_left = int(left.sum())
+            if n_left < model.min_cell or len(labels) - n_left < model.min_cell:
+                continue
+            gain = (reference_loglik(np.bincount(labels[left], weights=w[left],
+                                                 minlength=k))
+                    + reference_loglik(np.bincount(labels[~left], weights=w[~left],
+                                                   minlength=k))
+                    - base)
+            if gain > 1e-12 and (best is None or gain > best[0]):
+                best = (gain, j, thr, left)
+    if best is None:
+        return node
+    _, j, thr, left = best
+    node.update(feature=j, threshold=thr,
+                left=reference_build(model, X[left], labels[left], w[left], depth + 1),
+                right=reference_build(model, X[~left], labels[~left], w[~left],
+                                      depth + 1))
+    return node
+
+
+def assert_same_tree(got, want):
+    assert set(got) == set(want)
+    np.testing.assert_array_equal(got["proba"], want["proba"])
+    if "feature" in want:
+        assert (got["feature"], got["threshold"]) == (want["feature"], want["threshold"])
+        assert_same_tree(got["left"], want["left"])
+        assert_same_tree(got["right"], want["right"])
+
+
+def check_split_search(X, labels, w, n_classes, min_cell=25):
+    model = HistogramPartition(n_classes, min_cell=min_cell)
+    want = reference_build(model, X, labels, w)
+    assert_same_tree(model.fit(X, labels, w).tree_, want)
+    return want
+
+
+def make_weights(rng, kind, n):
+    return {"unit": np.ones(n),
+            "integer": rng.integers(1, 6, n).astype(float),
+            "real": rng.exponential(size=n)}[kind]
+
+
+class TestSplitSearchMatchesBruteForce:
+    @pytest.mark.parametrize("weights", ["unit", "integer", "real"])
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_mixed_columns(self, seed, k, weights):
+        rng = np.random.default_rng(seed)
+        n = 3000
+        X = np.column_stack([
+            rng.random(n),                          # continuous
+            rng.integers(0, 3, n),                  # discrete: quantiles repeat
+            np.round(rng.standard_normal(n), 1),    # rounded: many ties
+        ])
+        logits = np.column_stack([np.zeros(n), X[:, 0] * 2 - X[:, 1],
+                                  X[:, 2], X[:, 1] - 1])[:, :k]
+        p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        labels = (rng.random(n)[:, None] > np.cumsum(p, axis=1)).sum(axis=1)
+        tree = check_split_search(X, labels, make_weights(rng, weights, n), k)
+        assert "feature" in tree
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_constant_column_and_one_class(self, k):
+        rng = np.random.default_rng(7)
+        n = 500
+        X = np.column_stack([np.ones(n), rng.random(n)])
+        check_split_search(X, np.zeros(n, int), np.ones(n), k)
+        check_split_search(X, np.full(n, k - 1), rng.integers(1, 4, n).astype(float), k)
+        tree = check_split_search(X, (X[:, 1] > 0.5).astype(int), np.ones(n), k)
+        assert tree["feature"] == 1  # the constant column never splits
+
+    @pytest.mark.parametrize("min_cell", [2, 5, 25])
+    def test_n_left_at_min_cell_boundary(self, min_cell):
+        # The pure split sits exactly min_cell rows in from the left end; the
+        # quantile grid of 0..n-1 holds the thresholds 1..n-2.
+        n = 20 * min_cell + 20
+        X = np.arange(n, dtype=float)[:, None]
+        labels = (X[:, 0] >= min_cell).astype(int)
+        model = HistogramPartition(2, max_depth=1, min_cell=min_cell,
+                                   n_thresholds=n - 2)
+        want = reference_build(model, X, labels, np.ones(n))
+        assert want["threshold"] == min_cell - 1
+        assert_same_tree(model.fit(X, labels, np.ones(n)).tree_, want)
+        # One row fewer on the left and the split is no longer allowed there.
+        model = HistogramPartition(2, max_depth=1, min_cell=min_cell + 1,
+                                   n_thresholds=n - 2)
+        want = reference_build(model, X, labels, np.ones(n))
+        assert want.get("threshold") != min_cell - 1
+        assert_same_tree(model.fit(X, labels, np.ones(n)).tree_, want)
+
+    @pytest.mark.parametrize("shift,splits", [(1e-5, False), (1e-2, True)])
+    def test_gain_cutoff(self, shift, splits):
+        # Balanced labels on both sides; one perturbed weight gives the split
+        # a gain of about 5e-13 (below the 1e-12 cut-off) or well above it.
+        X = np.repeat([0.0, 1.0], 50)[:, None]
+        labels = np.tile([0, 1], 50)
+        w = np.ones(100)
+        w[51] += shift
+        tree = check_split_search(X, labels, w, 2, min_cell=5)
+        assert ("feature" in tree) == splits
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 400),
+           d=st.integers(1, 3), k=st.sampled_from([2, 4]),
+           levels=st.sampled_from([0, 2, 5]),
+           min_cell=st.sampled_from([1, 5, 25]),
+           weights=st.sampled_from(["unit", "integer", "real"]))
+    def test_property(self, seed, n, d, k, levels, min_cell, weights):
+        rng = np.random.default_rng(seed)
+        X = rng.random((n, d))
+        if levels:
+            X = np.round(X * levels)  # repeated quantiles
+        labels = rng.integers(0, rng.integers(1, k + 1), n)
+        check_split_search(X, labels, make_weights(rng, weights, n), k, min_cell)
 
 
 class TestKnnFrequency:

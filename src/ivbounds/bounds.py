@@ -29,8 +29,6 @@ __all__ = [
     "UPPER_CONSTANTS",
 ]
 
-SIMPLEX_TOL = 1e-6
-
 # Each row lists (y, a, z, sign) terms; constants are kept separately so the
 # pure-linear part can be reused for influence-function contributions.
 _LOWER_TERMS = [

@@ -68,8 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--clamp", action="store_true",
                    help="clamp reported bounds into [-1, 1]")
-    b.add_argument("--threads", type=int, default=1,
-                   help="worker concurrency cap")
     b.add_argument("--output", default=None, help="write JSON here instead of stdout")
 
     s = sub.add_parser("simulate", help="margin-design RMSE experiment")
@@ -78,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
         f"{0.10 + 0.05 * k:.2f}" for k in range(9)))
     s.add_argument("--reps", type=int, default=500)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--threads", type=int, default=1)
     s.add_argument("--output", default=None, help="JSON output path")
     s.add_argument("--csv", default=None, help="long-format CSV output path")
 

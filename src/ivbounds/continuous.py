@@ -19,7 +19,7 @@ import numpy as np
 
 from .crossfit import rng_stream
 from .data import Dataset
-from .estimators import BoundEstimate
+from .estimators import BoundEstimate, _finish, direct_bounds
 from .lse import LseConfig, lse_bounds
 
 __all__ = [
@@ -91,7 +91,6 @@ def _estimate(data, nuisances, method, lse_config):
     lam1, pi = nuisances.evaluate(data)
     if method == "lse":
         return lse_bounds(data, lam1, pi, lse_config)
-    from .estimators import direct_bounds
     return direct_bounds(data, lam1, pi)
 
 
@@ -122,19 +121,7 @@ def continuous_bounds(data: Dataset, nuisance_factory, m: int, seed: int,
         # accumulators track the ATE of the unit-scale outcome.
         acc_l += -est.phi_upper
         acc_u += -est.phi_lower
-    phi_l = acc_l / m
-    phi_u = acc_u / m
-    w = data.normalized_weights()
-    lhat = float(w @ phi_l)
-    uhat = float(w @ phi_u)
-    return BoundEstimate(
-        lower=lhat, upper=uhat,
-        var_lower=float(w @ (phi_l - lhat) ** 2),
-        var_upper=float(w @ (phi_u - uhat) ** 2),
-        n=data.n, method=f"continuous-{method}",
-        phi_lower=phi_l, phi_upper=phi_u,
-        d_lower=np.zeros(data.n, dtype=int), d_upper=np.zeros(data.n, dtype=int),
-        crossed=lhat > uhat,
-        extra={"m": m, "outcome_low": transform.low, "outcome_high": transform.high,
-               "scale": transform.range},
-    )
+    extra = {"m": m, "outcome_low": transform.low, "outcome_high": transform.high,
+             "scale": transform.range}
+    return _finish(data, acc_l / m, acc_u / m, None, None,
+                   f"continuous-{method}", extra)

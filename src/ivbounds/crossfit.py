@@ -137,12 +137,20 @@ class FoldedNuisances:
     folds: np.ndarray                      # (n,) fold index per row, 0..K-1
     models: list[SingleModelNuisances]     # trained on the fold's complement
     seed: int
-    descriptor: dict = field(default_factory=dict)
-    fitted_on: Dataset | None = field(default=None, repr=False)
+    descriptor: dict
+    fitted_on: Dataset = field(repr=False)
 
     @property
     def n_folds(self) -> int:
         return len(self.models)
+
+    def _check_rows(self, data: Dataset) -> None:
+        """Raise unless ``data`` has the fitted rows' x, z and w; y may differ."""
+        ref = self.fitted_on
+        if data.n != ref.n or not all(
+                np.array_equal(a, b) for a, b in
+                ((data.x, ref.x), (data.z, ref.z), (data.w, ref.w))):
+            raise ValueError("dataset differs from the rows the folds were fitted on")
 
     def refit_joint(self, data: Dataset, pi_learner: LearnerSpec) -> "FoldedNuisances":
         """Copy with every fold's joint cells refit on ``data``.
@@ -151,11 +159,7 @@ class FoldedNuisances:
         are shared; ``data`` may differ from the fitted rows in its outcome
         alone.
         """
-        ref = self.fitted_on
-        if ref is None or data.n != ref.n or not all(
-                np.array_equal(a, b) for a, b in
-                ((data.x, ref.x), (data.z, ref.z), (data.w, ref.w))):
-            raise ValueError("dataset differs from the rows the folds were fitted on")
+        self._check_rows(data)
         models = []
         for k, model in enumerate(self.models):
             train = data.subset(np.flatnonzero(self.folds != k))
@@ -165,8 +169,9 @@ class FoldedNuisances:
                        descriptor={**self.descriptor, "pi": pi_learner.name})
 
     def evaluate(self, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
-        if len(self.folds) != data.n:
-            raise ValueError("fold assignment does not cover this dataset")
+        """Out-of-fold nuisances on the fitted rows; ``data`` may differ from
+        them in its outcome alone."""
+        self._check_rows(data)
         lam1 = np.empty(data.n)
         pi = np.empty((data.n, 2, 2, 2))
         for k in range(self.n_folds):

@@ -18,12 +18,13 @@ from statistics import NormalDist
 
 import numpy as np
 
+# theta_*_linear are imported only for perfbench/spans.py, which traces them
+# under this module's name as well as lse's.
 from .bounds import theta_lower, theta_lower_linear, theta_upper, theta_upper_linear
 from .data import Dataset
 
 __all__ = [
     "psi_correction",
-    "if_contributions",
     "BoundEstimate",
     "direct_bounds",
     "plugin_bounds",
@@ -53,18 +54,15 @@ def psi_correction(data: Dataset, lam1: np.ndarray, pi: np.ndarray) -> np.ndarra
     return zmatch / lam * (cell - pi)
 
 
-def if_contributions(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean-zero candidate-wise contributions (n, 8) for lower and upper."""
-    return theta_lower_linear(c), theta_upper_linear(c)
-
-
 @dataclass
 class BoundEstimate:
     """Point estimates with per-observation influence values.
 
     ``phi_lower``/``phi_upper`` are the uncentered per-row contributions
     whose weighted means are ``lower``/``upper``; variances are weighted
-    second moments about those means.
+    second moments about those means.  ``d_lower``/``d_upper`` hold the
+    1-based plug-in selector per row, or ``None`` when selection is not
+    tracked (replicate-averaged estimates).
     """
 
     lower: float
@@ -75,8 +73,8 @@ class BoundEstimate:
     method: str
     phi_lower: np.ndarray
     phi_upper: np.ndarray
-    d_lower: np.ndarray
-    d_upper: np.ndarray
+    d_lower: np.ndarray | None
+    d_upper: np.ndarray | None
     crossed: bool
     extra: dict
 
@@ -89,8 +87,8 @@ class BoundEstimate:
         return float(np.sqrt(self.var_upper / self.n))
 
     def selection_frequencies(self) -> dict | None:
-        if np.all(self.d_lower == 0):
-            return None  # selection not tracked (replicate-averaged estimate)
+        if self.d_lower is None:
+            return None
         return {
             "lower": np.bincount(self.d_lower - 1, minlength=8) / len(self.d_lower),
             "upper": np.bincount(self.d_upper - 1, minlength=8) / len(self.d_upper),

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bounds import theta_lower, theta_lower_linear, theta_upper, theta_upper_linear
 from .data import Dataset
-from .estimators import BoundEstimate, psi_correction, z_quantile
+from .estimators import BoundEstimate, _finish, psi_correction, z_quantile
 
 __all__ = [
     "lse",
@@ -90,20 +90,9 @@ def lse_bounds(data: Dataset, lam1: np.ndarray, pi: np.ndarray,
     upp_lin = theta_upper_linear(c)
     phi_l = lse(th_l, t) + np.sum(lse_grad(th_l, t) * low_lin, axis=-1)
     phi_u = -lse(-th_u, t) + np.sum(lse_grad(-th_u, t) * upp_lin, axis=-1)
-    w = data.normalized_weights()
-    lhat = float(w @ phi_l)
-    uhat = float(w @ phi_u)
-    return BoundEstimate(
-        lower=lhat, upper=uhat,
-        var_lower=float(w @ (phi_l - lhat) ** 2),
-        var_upper=float(w @ (phi_u - uhat) ** 2),
-        n=data.n, method="lse",
-        phi_lower=phi_l, phi_upper=phi_u,
-        d_lower=np.argmax(th_l, axis=-1) + 1,
-        d_upper=np.argmin(th_u, axis=-1) + 1,
-        crossed=lhat > uhat,
-        extra={"t": t, "t_rule": config.rule},
-    )
+    return _finish(data, phi_l, phi_u, np.argmax(th_l, axis=-1) + 1,
+                   np.argmin(th_u, axis=-1) + 1, "lse",
+                   {"t": t, "t_rule": config.rule})
 
 
 def conservative_interval(est: BoundEstimate, alpha: float = 0.05) -> tuple[float, float]:

@@ -13,11 +13,9 @@ Two data-generating processes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .bounds import ThetaProfile, theta_profile
+from .bounds import theta_profile
 from .crossfit import ClosedFormNuisance, oracle_noisy_nuisance, rng_stream
 from .data import Dataset
 from .estimators import direct_bounds, plugin_bounds, wald_interval
@@ -83,7 +81,12 @@ def gen_margin(n: int, seed: int) -> Dataset:
 # Illustration design.  Z ~ Bern(1/2); X1 ~ Bern(0.7); X2 ~ U(-1, 1).
 # Compliance strata from (X1, X2): always-takers when X2 >= 0.99,
 # never-takers when X2 <= -0.99, defiers when X1 = 0 and X2 in (-0.5, 0.5],
-# compliers otherwise.  Outcome means by (stratum, exposure):
+# compliers otherwise.  The strata change only at the X2 cut points, so the
+# law is constant in X2 between consecutive cuts.  Outcome means by
+# (stratum, exposure):
+
+_X2_CUTS = (-0.99, -0.5, 0.5, 0.99)
+_X1_PROBS = (0.3, 0.7)  # P(X1 = 0), P(X1 = 1)
 
 _ILLU_BETA = {
     "AT": (0.20, 0.35),
@@ -95,11 +98,12 @@ _ILLU_BETA = {
 
 def _strata(x1, x2, appendix_compat=False):
     """Stratum label per row; compat mode drops the tail strata entirely."""
+    nt_cut, de_low, de_high, at_cut = _X2_CUTS
     s = np.full(len(x1), "CO", dtype="<U2")
     if not appendix_compat:
-        s[x2 >= 0.99] = "AT"
-        s[x2 <= -0.99] = "NT"
-    defier = (x1 == 0) & (x2 > -0.5) & (x2 <= 0.5)
+        s[x2 >= at_cut] = "AT"
+        s[x2 <= nt_cut] = "NT"
+    defier = (x1 == 0) & (x2 > de_low) & (x2 <= de_high)
     keep = (s == "CO")
     s[keep & defier] = "DE"
     return s
@@ -108,7 +112,7 @@ def _strata(x1, x2, appendix_compat=False):
 def gen_illustration(n: int, seed: int, appendix_compat: bool = False) -> Dataset:
     rng = rng_stream(seed, 11)
     z = (rng.random(n) < 0.5).astype(int)
-    x1 = (rng.random(n) < 0.7).astype(int)
+    x1 = (rng.random(n) < _X1_PROBS[1]).astype(int)
     x2 = rng.uniform(-1.0, 1.0, n)
     s = _strata(x1, x2, appendix_compat)
     a = np.where(s == "AT", 1, np.where(s == "NT", 0,
@@ -155,20 +159,28 @@ def illustration_pi(x, appendix_compat: bool = False):
     return pi
 
 
-def illustration_truth(n_grid: int = 200_001, appendix_compat: bool = False) -> dict:
-    """Exact functionals by integrating the closed-form law over (X1, X2)."""
-    x2 = np.linspace(-1.0, 1.0, n_grid)
-    out = {"lower": 0.0, "upper": 0.0, "ate": 0.0}
-    for x1, px1 in ((0, 0.3), (1, 0.7)):
-        x = np.column_stack([np.full(n_grid, float(x1)), x2])
-        prof = theta_profile(illustration_pi(x, appendix_compat))
-        out["lower"] += px1 * np.mean(prof.gamma_l)
-        out["upper"] += px1 * np.mean(prof.gamma_u)
-        w = _stratum_weights(x, appendix_compat)
-        cate = np.array([b1 - b0 for (b0, b1) in
-                         (_ILLU_BETA[k] for k in ("AT", "NT", "DE", "CO"))])
-        out["ate"] += px1 * np.mean(w @ cate)
-    return out
+def _illustration_atoms():
+    """Covariate atoms (10, 2) and their probabilities for exact integrals.
+
+    Each of the five X2 intervals between the cut points is represented by
+    its midpoint, weighted by P(X1 = x1) times its length over 2.  Rows run
+    X1-major: the five intervals for x1 = 0, then for x1 = 1.
+    """
+    edges = np.array([-1.0, *_X2_CUTS, 1.0])
+    mids = (edges[:-1] + edges[1:]) / 2.0
+    x = np.column_stack([np.repeat([0.0, 1.0], len(mids)), np.tile(mids, 2)])
+    return x, np.outer(_X1_PROBS, np.diff(edges) / 2.0).ravel()
+
+
+def illustration_truth(appendix_compat: bool = False) -> dict:
+    """Exact bound functionals and ATE as finite sums over the five X2
+    intervals and the two values of X1."""
+    x, w = _illustration_atoms()
+    prof = theta_profile(illustration_pi(x, appendix_compat))
+    cate = np.array([b1 - b0 for (b0, b1) in
+                     (_ILLU_BETA[k] for k in ("AT", "NT", "DE", "CO"))])
+    return {"lower": float(w @ prof.gamma_l), "upper": float(w @ prof.gamma_u),
+            "ate": float(w @ (_stratum_weights(x, appendix_compat) @ cate))}
 
 
 # ---------------------------------------------------------------------------
@@ -228,33 +240,20 @@ def coverage_experiment(n: int, reps: int, r: float, seed: int,
             "coverage_lse": hit_lse / reps}
 
 
-def _marginal_pi_over_x1(x, appendix_compat=False):
-    """Joint cells adjusting for X2 only, averaging X1 out at P(X1=1)=0.7."""
-    x = np.atleast_2d(x)
-    x1 = np.column_stack([np.ones(len(x)), x[:, -1]])
-    x0 = np.column_stack([np.zeros(len(x)), x[:, -1]])
-    return (0.7 * illustration_pi(x1, appendix_compat)
-            + 0.3 * illustration_pi(x0, appendix_compat))
+def width_comparison(appendix_compat: bool = False) -> dict:
+    """Population bounds under no, partial (X2 only) and full adjustment.
 
-
-def width_comparison(appendix_compat: bool = False, n_grid: int = 200_001) -> dict:
-    """Population bound widths under no, partial, and full covariate adjustment."""
-    x2 = np.linspace(-1.0, 1.0, n_grid)
-    out = {}
-    # Full adjustment (X1, X2) and no adjustment fall out of the same grid.
-    full_l = full_u = 0.0
-    pooled = np.zeros((2, 2, 2))
-    for x1, px1 in ((0, 0.3), (1, 0.7)):
-        x = np.column_stack([np.full(n_grid, float(x1)), x2])
-        pi = illustration_pi(x, appendix_compat)
-        prof = theta_profile(pi)
-        full_l += px1 * np.mean(prof.gamma_l)
-        full_u += px1 * np.mean(prof.gamma_u)
-        pooled += px1 * np.mean(pi, axis=0)
-    prof = theta_profile(pooled[None])
-    part = theta_profile(_marginal_pi_over_x1(np.column_stack(
-        [np.zeros(n_grid), x2]), appendix_compat))
-    out["none"] = (float(prof.gamma_l[0]), float(prof.gamma_u[0]))
-    out["x2_only"] = (float(np.mean(part.gamma_l)), float(np.mean(part.gamma_u)))
-    out["full"] = (full_l, full_u)
-    return out
+    Exact sums over the five X2 intervals: ``none`` profiles the pooled
+    cells, ``x2_only`` pools X1 within each interval, and ``full`` is the
+    pair of bounds from ``illustration_truth``.
+    """
+    x, w = _illustration_atoms()
+    pi = illustration_pi(x, appendix_compat)
+    none = theta_profile(np.tensordot(w, pi, axes=1))
+    # Rows are X1-major, so (x1, interval) blocks pool over X1 per interval.
+    part = theta_profile(np.tensordot(_X1_PROBS, pi.reshape(2, -1, 2, 2, 2), axes=1))
+    p_x2 = w.reshape(2, -1).sum(axis=0)
+    truth = illustration_truth(appendix_compat)
+    return {"none": (none.gamma_l, none.gamma_u),
+            "x2_only": (float(p_x2 @ part.gamma_l), float(p_x2 @ part.gamma_u)),
+            "full": (truth["lower"], truth["upper"])}

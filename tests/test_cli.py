@@ -226,6 +226,14 @@ class TestOtherCommands:
         assert set(payload["population_bounds_by_adjustment"]) == {
             "none", "x2_only", "full"}
 
+    @pytest.mark.parametrize("command", [
+        ["bounds", "data.csv", *BOUNDS_ARGS], ["simulate"]])
+    def test_threads_flag_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
     def test_check_passes(self, capsys):
         rc = main(["check", "--laws", "50"])
         payload = json.loads(capsys.readouterr().out)

@@ -13,6 +13,7 @@ from ivbounds.crossfit import ClosedFormNuisance, cross_fit
 from ivbounds.data import Dataset
 from ivbounds.estimators import direct_bounds
 from ivbounds.learners import parse_learner_spec
+from ivbounds.lse import lse_bounds
 from ivbounds.simulation import (
     gen_illustration,
     illustration_lambda1,
@@ -70,11 +71,12 @@ class TestAugment:
 
 
 class TestContinuousBounds:
-    def test_matches_binary_pipeline_exactly(self):
+    @pytest.mark.parametrize("method", ["direct", "lse"])
+    def test_matches_binary_pipeline_exactly(self, method):
         data = gen_illustration(1500, 2)
         nuis = ClosedFormNuisance(illustration_lambda1, illustration_pi)
         lam1, pi = nuis.evaluate(data)
-        binary = direct_bounds(data, lam1, pi)
+        binary = {"direct": direct_bounds, "lse": lse_bounds}[method](data, lam1, pi)
 
         class Pseudo:
             def evaluate(self, d):
@@ -82,10 +84,12 @@ class TestContinuousBounds:
                 return l1, p[:, ::-1]  # pseudo outcome is 1 - y for binary data
 
         cont = continuous_bounds(data, lambda aug: Pseudo(), m=1, seed=2,
+                                 method=method,
                                  transform=OutcomeTransform(0.0, 1.0))
         assert cont.lower == pytest.approx(binary.lower, abs=1e-12)
         assert cont.upper == pytest.approx(binary.upper, abs=1e-12)
         assert cont.var_lower == pytest.approx(binary.var_lower, abs=1e-12)
+        assert cont.selection_frequencies() is None
 
     def test_fitted_nuisances_identity(self):
         # Same identity with refit learners: label-symmetric learners make

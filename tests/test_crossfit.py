@@ -121,6 +121,26 @@ class TestCrossFit:
             cross_fit(toy_data(8), 5, parse_learner_spec("constant"),
                       parse_learner_spec("constant"), seed=0)
 
+    @pytest.mark.parametrize("column", ["x", "z", "w"])
+    def test_evaluate_rejects_other_rows(self, column):
+        d = toy_data(300)
+        nuis = cross_fit(d, 3, parse_learner_spec("histogram"),
+                         parse_learner_spec("histogram"), seed=4)
+        lam1, pi = nuis.evaluate(d)
+        # Only the outcome differs: the continuous-mode path evaluates this.
+        lam_y, pi_y = nuis.evaluate(d.replace_outcome(1.0 - d.y, "binary"))
+        np.testing.assert_array_equal(lam_y, lam1)
+        np.testing.assert_array_equal(pi_y, pi)
+        other = d.subset(np.arange(d.n))
+        if column == "x":
+            other.x[0, 0] += 0.5
+        elif column == "z":
+            other.z[0] = 1 - other.z[0]
+        else:
+            other.w[0] = 2.0
+        with pytest.raises(ValueError, match="fitted on"):
+            nuis.evaluate(other)
+
 
 class TestOracleNuisance:
     def test_zero_noise_returns_truth(self):

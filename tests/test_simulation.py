@@ -3,6 +3,8 @@ import pytest
 
 from ivbounds.bounds import theta_profile
 from ivbounds.simulation import (
+    _ILLU_BETA,
+    _stratum_weights,
     coverage_experiment,
     gen_illustration,
     gen_margin,
@@ -55,6 +57,66 @@ class TestMarginDesign:
         emp = np.mean(d.y[sub_z0] == 1)
         truth = np.mean(d.x[sub_z0, 0] / 2)
         assert emp == pytest.approx(truth, abs=0.01)
+
+
+def grid_reference(appendix_compat, n_grid=20_001):
+    """Illustration integrals as means over an even X2 grid, weighted by
+    P(X1): an independent reference for the exact interval sums."""
+    x2 = np.linspace(-1.0, 1.0, n_grid)
+    cate = np.array([b1 - b0 for (b0, b1) in
+                     (_ILLU_BETA[k] for k in ("AT", "NT", "DE", "CO"))])
+    out = dict.fromkeys(("lower", "upper", "ate"), 0.0)
+    pooled = np.zeros((2, 2, 2))
+    by_x2 = np.zeros((n_grid, 2, 2, 2))
+    for x1, px1 in ((0, 0.3), (1, 0.7)):
+        x = np.column_stack([np.full(n_grid, float(x1)), x2])
+        pi = illustration_pi(x, appendix_compat)
+        prof = theta_profile(pi)
+        out["lower"] += px1 * np.mean(prof.gamma_l)
+        out["upper"] += px1 * np.mean(prof.gamma_u)
+        out["ate"] += px1 * np.mean(_stratum_weights(x, appendix_compat) @ cate)
+        pooled += px1 * np.mean(pi, axis=0)
+        by_x2 += px1 * pi
+    none, part = theta_profile(pooled), theta_profile(by_x2)
+    widths = {"none": (none.gamma_l, none.gamma_u),
+              "x2_only": (np.mean(part.gamma_l), np.mean(part.gamma_u)),
+              "full": (out["lower"], out["upper"])}
+    return out, widths
+
+
+# Default law: P(AT) = P(NT) = 0.005, P(DE) = 0.15, P(CO) = 0.84, so the ATE
+# is 0.11725.  Compat mode has defiers and compliers only, which the
+# covariates identify, so its bounds collapse onto its ATE of 0.1175.  The
+# widths are checked against grid_reference below to within its grid error.
+EXACT = {
+    False: ({"lower": 0.1085, "upper": 0.1185, "ate": 0.11725},
+            {"none": (-0.05275, 0.25725), "x2_only": (-0.05275, 0.24725)}),
+    True: ({"lower": 0.1175, "upper": 0.1175, "ate": 0.1175},
+           {"none": (-0.04375, 0.25625), "x2_only": (-0.04375, 0.24625)}),
+}
+
+
+@pytest.mark.parametrize("compat", [False, True])
+class TestExactIllustrationIntegrals:
+    def test_exact_values(self, compat):
+        truth, widths = EXACT[compat]
+        assert illustration_truth(appendix_compat=compat) == pytest.approx(
+            truth, abs=1e-12)
+        got = width_comparison(compat)
+        for key, pair in widths.items():
+            assert got[key] == pytest.approx(pair, abs=1e-12)
+
+    def test_full_adjustment_is_truth(self, compat):
+        t = illustration_truth(appendix_compat=compat)
+        assert width_comparison(compat)["full"] == (t["lower"], t["upper"])
+
+    def test_agree_with_grid_reference(self, compat):
+        ref_truth, ref_widths = grid_reference(compat)
+        assert illustration_truth(appendix_compat=compat) == pytest.approx(
+            ref_truth, abs=1e-4)
+        got = width_comparison(compat)
+        for key, pair in ref_widths.items():
+            assert got[key] == pytest.approx(pair, abs=1e-4)
 
 
 class TestIllustrationDesign:

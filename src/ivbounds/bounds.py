@@ -9,6 +9,7 @@ coefficient matrices.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -140,23 +141,31 @@ def natural_bounds(pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 RESPONSE_TYPES = np.array(list(itertools.product([0, 1], repeat=4)))
 
 
-def response_type_pi(q: np.ndarray) -> np.ndarray:
-    """Forward map from a response-type law to the observable cells.
+def _type_incidence() -> np.ndarray:
+    """(8, 16) 0/1 matrix: entry [4y + 2a + z, u] is 1 when type u lands in
+    cell (y, a, z).
 
     Under instrument value z the exposure is A(z) and the outcome Y(A(z)),
-    so cell (y, a, z) collects the types with A(z) = a and Y(a) = y.
+    so each type lands in exactly one cell per instrument arm.
     """
+    types = np.arange(16)
+    incidence = np.zeros((8, 16))
+    for z in (0, 1):
+        a = RESPONSE_TYPES[:, z]
+        y = RESPONSE_TYPES[types, 2 + a]
+        incidence[4 * y + 2 * a + z, types] = 1.0
+    return incidence
+
+
+_TYPE_INCIDENCE = _type_incidence()
+
+
+def response_type_pi(q: np.ndarray) -> np.ndarray:
+    """Forward map from a response-type law to the observable cells."""
     q = np.asarray(q, dtype=float)
     if q.shape != (16,):
         raise ValueError("q must be a 16-vector")
-    pi = np.zeros((2, 2, 2))
-    for u, (a0, a1, y0, y1) in enumerate(RESPONSE_TYPES):
-        a_of_z = (a0, a1)
-        y_of_a = (y0, y1)
-        for z in (0, 1):
-            a = a_of_z[z]
-            pi[y_of_a[a], a, z] += q[u]
-    return pi
+    return (_TYPE_INCIDENCE @ q).reshape(2, 2, 2)
 
 
 def response_type_ate(q: np.ndarray) -> float:
@@ -167,41 +176,20 @@ def response_type_ate(q: np.ndarray) -> float:
 
 # Constraint system for the sharpness oracle.  Full system has rank 7: the
 # total-mass row plus, per arm, three of the four cell rows (the fourth is
-# implied by the per-arm simplex identity).
-_KEPT_CELLS = [(y, a, z) for z in (0, 1) for (y, a) in [(0, 1), (1, 0), (1, 1)]]
+# implied by the per-arm simplex identity).  Flat cell index 4y + 2a + z.
+_KEPT_CELLS = [4 * y + 2 * a + z for z in (0, 1) for (y, a) in [(0, 1), (1, 0), (1, 1)]]
 
 
-def _constraint_matrix() -> np.ndarray:
-    rows = [np.ones(16)]
-    for y, a, z in _KEPT_CELLS:
-        row = np.zeros(16)
-        for u, (a0, a1, y0, y1) in enumerate(RESPONSE_TYPES):
-            a_of_z = (a0, a1)
-            y_of_a = (y0, y1)
-            if a_of_z[z] == a and y_of_a[a] == y:
-                row[u] = 1.0
-        rows.append(row)
-    return np.array(rows)
-
-
-_BASIS_CACHE: dict[str, np.ndarray] | None = None
-
-
-def _basis_data() -> dict[str, np.ndarray]:
-    """Enumerate all nonsingular 7-column bases of the constraint system once."""
-    global _BASIS_CACHE
-    if _BASIS_CACHE is None:
-        amat = _constraint_matrix()
-        combos = np.array(list(itertools.combinations(range(16), 7)))
-        blocks = amat[:, combos].transpose(1, 0, 2)  # (n_bases, 7, 7)
-        dets = np.linalg.det(blocks)
-        keep = np.abs(dets) > 1e-9
-        effects = (RESPONSE_TYPES[:, 3] - RESPONSE_TYPES[:, 2]).astype(float)
-        _BASIS_CACHE = {
-            "inverses": np.linalg.inv(blocks[keep]),
-            "effects": effects[combos[keep]],
-        }
-    return _BASIS_CACHE
+@functools.cache
+def _basis_data() -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of all nonsingular 7-column bases of the constraint system,
+    and the ATE effects of their types."""
+    amat = np.vstack([np.ones(16), _TYPE_INCIDENCE[_KEPT_CELLS]])
+    combos = np.array(list(itertools.combinations(range(16), 7)))
+    blocks = amat[:, combos].transpose(1, 0, 2)  # (n_bases, 7, 7)
+    keep = np.abs(np.linalg.det(blocks)) > 1e-9
+    effects = (RESPONSE_TYPES[:, 3] - RESPONSE_TYPES[:, 2]).astype(float)
+    return np.linalg.inv(blocks[keep]), effects[combos[keep]]
 
 
 def lp_sharp_bounds(pi: np.ndarray, tol: float = 1e-7):
@@ -218,11 +206,10 @@ def lp_sharp_bounds(pi: np.ndarray, tol: float = 1e-7):
         raise ValueError("pi contains non-finite entries")
     if np.any(np.abs(pi.sum(axis=(0, 1)) - 1.0) > tol):
         return None
-    basis = _basis_data()
-    b = np.concatenate([[1.0], [pi[y, a, z] for y, a, z in _KEPT_CELLS]])
-    q = basis["inverses"] @ b
+    inverses, effects = _basis_data()
+    q = inverses @ np.concatenate([[1.0], pi.ravel()[_KEPT_CELLS]])
     feasible = np.all(q >= -tol, axis=1)
     if not np.any(feasible):
         return None
-    values = np.einsum("ij,ij->i", basis["effects"][feasible], q[feasible])
+    values = np.einsum("ij,ij->i", effects[feasible], q[feasible])
     return float(values.min()), float(values.max())

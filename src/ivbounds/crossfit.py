@@ -1,8 +1,16 @@
 """Nuisance fitting, K-fold cross-fitting, and oracle nuisance evaluators.
 
+Every nuisance source shares one protocol, ``evaluate(data) -> (lam1, pi)``
+with ``lam1[i] = P(Z=1 | x_i)`` and ``pi[i, y, a, z] = P(Y=y, A=a | x_i, Z=z)``.
+Fitted nuisances are plain predictors: ``fit_propensity`` returns
+``x -> lam1`` truncated into [eps, 1-eps] and ``fit_joint`` returns
+``x -> (n, 2, 2)`` cells of one instrument arm.  ``FoldedNuisances`` holds,
+per fold, the predictors fitted without that fold and evaluates each row
+out of fold.
+
 Randomness uses the Philox counter-based generator.  Streams are split by
 seeding ``SeedSequence`` with an explicit path of integers (master seed,
-then purpose-specific indices), so every fold/replication draws from its
+then purpose, then replicate), so every fold/replication draws from its
 own documented stream.
 """
 
@@ -18,10 +26,7 @@ from .learners import FitError, LearnerSpec, make_classifier
 
 __all__ = [
     "rng_stream",
-    "PropensityModel",
-    "JointModel",
     "FoldedNuisances",
-    "SingleModelNuisances",
     "fit_propensity",
     "fit_joint",
     "fold_assignment",
@@ -38,6 +43,8 @@ DEFAULT_FOLDS = 5
 # Joint-model class index for the 4 cells per instrument arm, in the order
 # (y=0,a=0), (y=0,a=1), (y=1,a=0), (y=1,a=1): class = 2*y + a.
 
+Predictor = Callable[[np.ndarray], np.ndarray]
+
 
 def rng_stream(seed: int, *path: int) -> np.random.Generator:
     """Philox generator on the sub-stream addressed by (seed, *path)."""
@@ -53,38 +60,9 @@ def logit(p):
     return np.log(p) - np.log1p(-p)
 
 
-@dataclass
-class PropensityModel:
-    """Evaluator for P(Z=1 | X), truncated into [eps, 1-eps]."""
-
-    eps: float
-    descriptor: str
-    _predict: Callable[[np.ndarray], np.ndarray]
-    truncate: bool = True
-
-    def lambda1(self, x: np.ndarray) -> np.ndarray:
-        p = np.asarray(self._predict(np.atleast_2d(x)), dtype=float)
-        if self.truncate:
-            p = np.clip(p, self.eps, 1.0 - self.eps)
-        return p
-
-
-@dataclass
-class JointModel:
-    """Evaluator for the 4-simplex of (Y, A) cells within one instrument arm."""
-
-    z: int
-    descriptor: str
-    _predict: Callable[[np.ndarray], np.ndarray]
-
-    def cell_probs(self, x: np.ndarray) -> np.ndarray:
-        """Probabilities with shape (n, 2, 2) indexed [y, a]."""
-        p = np.asarray(self._predict(np.atleast_2d(x)), dtype=float)
-        return p.reshape(-1, 2, 2)
-
-
 def fit_propensity(data: Dataset, learner: LearnerSpec,
-                   eps: float = DEFAULT_EPS) -> PropensityModel:
+                   eps: float = DEFAULT_EPS) -> Predictor:
+    """Predictor x -> P(Z=1 | X=x), truncated into [eps, 1-eps]."""
     if data.n == 0:
         raise FitError("empty data")
     if not 0 < eps < 0.5:
@@ -95,54 +73,46 @@ def fit_propensity(data: Dataset, learner: LearnerSpec,
             raise ValueError(f"known propensity {c} outside (0, 1)")
         if not eps <= c <= 1.0 - eps:
             raise ValueError(f"known propensity {c} outside [eps, 1-eps]")
-        return PropensityModel(eps, f"known({c})",
-                               lambda x: np.full(np.atleast_2d(x).shape[0], c),
-                               truncate=False)
-    if len(np.unique(data.z)) < 2:
-        raise FitError("degenerate data: instrument takes a single value")
-    clf = make_classifier(learner, 2).fit(data.x, data.z, data.w)
-    return PropensityModel(eps, learner.name, lambda x: clf.predict_proba(x)[:, 1])
+
+        def raw(x):
+            return np.full(x.shape[0], c)
+    else:
+        if len(np.unique(data.z)) < 2:
+            raise FitError("degenerate data: instrument takes a single value")
+        clf = make_classifier(learner, 2).fit(data.x, data.z, data.w)
+
+        def raw(x):
+            return clf.predict_proba(x)[:, 1]
+    return lambda x: np.clip(raw(np.atleast_2d(x)), eps, 1.0 - eps)
 
 
-def fit_joint(data: Dataset, z: int, learner: LearnerSpec) -> JointModel:
-    if data.outcome_kind == "binary" and not np.all(np.isin(data.y, [0.0, 1.0])):
-        raise FitError("non-binary outcome under binary outcome kind")
+def fit_joint(data: Dataset, z: int, learner: LearnerSpec) -> Predictor:
+    """Predictor x -> (n, 2, 2) cells P(Y=y, A=a | X=x, Z=z), indexed [y, a]."""
+    if not np.all(np.isin(data.y, [0.0, 1.0])):
+        raise FitError("joint cells need an outcome in {0, 1}")
     arm = data.z == z
     if not np.any(arm):
         raise FitError(f"no observations in instrument arm z={z}")
     labels = (2 * data.y[arm].astype(int) + data.a[arm]).astype(int)
     clf = make_classifier(learner, 4).fit(data.x[arm], labels, data.w[arm])
-    return JointModel(z, learner.name, clf.predict_proba)
+    return lambda x: clf.predict_proba(np.atleast_2d(x)).reshape(-1, 2, 2)
 
 
-@dataclass
-class SingleModelNuisances:
-    """One (propensity, joint-pair) model applied to every row."""
-
-    propensity: PropensityModel
-    joint: dict  # z -> JointModel
-
-    def evaluate(self, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
-        lam1 = self.propensity.lambda1(data.x)
-        pi = np.empty((data.n, 2, 2, 2))
-        for z in (0, 1):
-            pi[:, :, :, z] = self.joint[z].cell_probs(data.x)
-        return lam1, pi
+def _fit_arms(train: Dataset, learner: LearnerSpec) -> tuple[Predictor, Predictor]:
+    """Joint-cell predictors for the z=0 and z=1 arms of one training set."""
+    return fit_joint(train, 0, learner), fit_joint(train, 1, learner)
 
 
 @dataclass
 class FoldedNuisances:
-    """Per-fold nuisance models with out-of-fold evaluation."""
+    """Per-fold predictors, each fitted on its fold's complement, with
+    out-of-fold evaluation."""
 
-    folds: np.ndarray                      # (n,) fold index per row, 0..K-1
-    models: list[SingleModelNuisances]     # trained on the fold's complement
-    seed: int
+    folds: np.ndarray                         # (n,) fold index per row, 0..K-1
+    propensity: list[Predictor]               # per fold: x -> lam1
+    joint: list[tuple[Predictor, Predictor]]  # per fold: (z=0, z=1) cells
     descriptor: dict
     fitted_on: Dataset = field(repr=False)
-
-    @property
-    def n_folds(self) -> int:
-        return len(self.models)
 
     def _check_rows(self, data: Dataset) -> None:
         """Raise unless ``data`` has the fitted rows' x, z and w; y may differ."""
@@ -155,17 +125,14 @@ class FoldedNuisances:
     def refit_joint(self, data: Dataset, pi_learner: LearnerSpec) -> "FoldedNuisances":
         """Copy with every fold's joint cells refit on ``data``.
 
-        The folds and the propensity models depend on (x, z, w) only, so they
-        are shared; ``data`` may differ from the fitted rows in its outcome
-        alone.
+        The folds and the propensity predictors depend on (x, z, w) only, so
+        they are shared; ``data`` may differ from the fitted rows in its
+        outcome alone.
         """
         self._check_rows(data)
-        models = []
-        for k, model in enumerate(self.models):
-            train = data.subset(np.flatnonzero(self.folds != k))
-            models.append(SingleModelNuisances(
-                model.propensity, {z: fit_joint(train, z, pi_learner) for z in (0, 1)}))
-        return replace(self, models=models,
+        joint = [_fit_arms(data.subset(np.flatnonzero(self.folds != k)), pi_learner)
+                 for k in range(len(self.joint))]
+        return replace(self, joint=joint,
                        descriptor={**self.descriptor, "pi": pi_learner.name})
 
     def evaluate(self, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -174,13 +141,12 @@ class FoldedNuisances:
         self._check_rows(data)
         lam1 = np.empty(data.n)
         pi = np.empty((data.n, 2, 2, 2))
-        for k in range(self.n_folds):
+        for k, (lam_k, arms) in enumerate(zip(self.propensity, self.joint)):
             idx = np.flatnonzero(self.folds == k)
-            if idx.size == 0:
-                continue
-            lam_k, pi_k = self.models[k].evaluate(data.subset(idx))
-            lam1[idx] = lam_k
-            pi[idx] = pi_k
+            x = data.x[idx]
+            lam1[idx] = lam_k(x)
+            for z, cells in enumerate(arms):
+                pi[idx, :, :, z] = cells(x)
         return lam1, pi
 
 
@@ -199,23 +165,20 @@ def fold_assignment(u: np.ndarray, n_folds: int) -> np.ndarray:
 def cross_fit(data: Dataset, n_folds: int, pi_learner: LearnerSpec,
               lambda_learner: LearnerSpec, seed: int,
               eps: float = DEFAULT_EPS) -> FoldedNuisances:
-    """Fit per-fold nuisances on each fold's complement."""
+    """Fit per-fold predictors on each fold's complement."""
     if n_folds < 2:
         raise ValueError("need at least 2 folds")
     if data.n < 2 * n_folds:
         raise ValueError("need n >= 2K observations")
-    u = rng_stream(seed, 0).random(data.n)
-    folds = fold_assignment(u, n_folds)
-    models = []
+    folds = fold_assignment(rng_stream(seed, 0).random(data.n), n_folds)
+    propensity, joint = [], []
     for k in range(n_folds):
         train = data.subset(np.flatnonzero(folds != k))
         if len(np.unique(train.z)) < 2:
             raise FitError(f"fold {k}: training complement lacks an instrument arm")
-        models.append(SingleModelNuisances(
-            fit_propensity(train, lambda_learner, eps),
-            {z: fit_joint(train, z, pi_learner) for z in (0, 1)},
-        ))
-    return FoldedNuisances(folds, models, seed,
+        propensity.append(fit_propensity(train, lambda_learner, eps))
+        joint.append(_fit_arms(train, pi_learner))
+    return FoldedNuisances(folds, propensity, joint,
                            {"pi": pi_learner.name, "lambda": lambda_learner.name,
                             "folds": n_folds, "eps": eps}, data)
 
@@ -258,17 +221,18 @@ class _NoisyNuisance:
 
 
 def oracle_noisy_nuisance(truth: ClosedFormNuisance, n: int, r: float, h: float,
-                          seed: int):
+                          seed: int, replicate: int | None = None):
     """Truth-based evaluators with one logit-scale Gaussian shift per function.
 
     Shifts are iid N(h * n^-r, h^2 * n^-2r), drawn once per non-structurally-
-    zero nuisance function, giving L2 error of order n^-r.
+    zero nuisance function, giving L2 error of order n^-r.  They come from
+    the stream (seed, 1, replicate), or (seed, 1) without a replicate.
     """
     if not 0 < r <= 0.5:
         raise ValueError("r must lie in (0, 0.5]")
     if h < 0:
         raise ValueError("h must be nonnegative")
-    rng = rng_stream(seed, 1)
+    rng = rng_stream(seed, 1, *([] if replicate is None else [replicate]))
     scale = h * n ** (-r)
     draws = scale + scale * rng.standard_normal(9)
     return _NoisyNuisance(truth, float(draws[0]), draws[1:].reshape(2, 2, 2))

@@ -40,7 +40,8 @@ def z_quantile(alpha: float) -> float:
 
 def psi_correction(data: Dataset, lam1: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """Per-observation correction array of shape (n, 2, 2, 2)."""
-    n = data.n
+    if not np.all((data.y == 0.0) | (data.y == 1.0)):
+        raise ValueError("the correction needs an outcome in {0, 1}")
     lam1 = np.asarray(lam1, dtype=float)
     lam = np.where(data.z[:, None, None, None] == 1, lam1[:, None, None, None],
                    1.0 - lam1[:, None, None, None])
@@ -50,7 +51,6 @@ def psi_correction(data: Dataset, lam1: np.ndarray, pi: np.ndarray) -> np.ndarra
              == np.arange(2)[None, :, None, None])
             & (data.a[:, None, None, None]
                == np.arange(2)[None, None, :, None])).astype(float)
-    assert cell.sum() == n
     return zmatch / lam * (cell - pi)
 
 

@@ -66,8 +66,10 @@ def margin_truth() -> ClosedFormNuisance:
     return ClosedFormNuisance(_margin_lambda1, _margin_pi, _MARGIN_ZEROS)
 
 
-def gen_margin(n: int, seed: int) -> Dataset:
-    rng = rng_stream(seed, 10)
+def gen_margin(n: int, seed: int, replicate: int | None = None) -> Dataset:
+    """Margin-design sample from the stream (seed, 10, replicate), or
+    (seed, 10) without a replicate."""
+    rng = rng_stream(seed, 10, *([] if replicate is None else [replicate]))
     x = rng.random((n, 1))
     lam1 = _margin_lambda1(x)
     z = (rng.random(n) < lam1).astype(int)
@@ -184,7 +186,16 @@ def illustration_truth(appendix_compat: bool = False) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Experiments.
+# Experiments.  Replicate ``rep`` of master seed ``seed`` draws its data and
+# its nuisance noise from the stream paths (seed, 10, rep) and (seed, 1, rep),
+# so distinct seeds never share a replicate.
+
+def _margin_replicate(truth, n, r, h, seed, rep):
+    """One margin-design sample with its noisy oracle nuisances."""
+    data = gen_margin(n, seed, rep)
+    lam1, pi = oracle_noisy_nuisance(truth, n, r, h, seed, rep).evaluate(data)
+    return data, lam1, pi
+
 
 def rmse_experiment(n_grid, r_grid, reps: int, seed: int,
                     h: float = MARGIN_H) -> list[dict]:
@@ -200,9 +211,7 @@ def rmse_experiment(n_grid, r_grid, reps: int, seed: int,
         for r in r_grid:
             errs = {m: [] for m in ("direct", "lse", "plugin")}
             for rep in range(reps):
-                data = gen_margin(n, seed + 1000 * rep)
-                nuis = oracle_noisy_nuisance(truth, n, r, h, seed + 1000 * rep + 7)
-                lam1, pi = nuis.evaluate(data)
+                data, lam1, pi = _margin_replicate(truth, n, r, h, seed, rep)
                 for name, est in (
                     ("direct", direct_bounds(data, lam1, pi)),
                     ("lse", lse_bounds(data, lam1, pi,
@@ -227,9 +236,7 @@ def coverage_experiment(n: int, reps: int, r: float, seed: int,
     truth = margin_truth()
     hit_direct = hit_lse = 0
     for rep in range(reps):
-        data = gen_margin(n, seed + 1000 * rep)
-        nuis = oracle_noisy_nuisance(truth, n, r, h, seed + 1000 * rep + 7)
-        lam1, pi = nuis.evaluate(data)
+        data, lam1, pi = _margin_replicate(truth, n, r, h, seed, rep)
         lo, hi = wald_interval(direct_bounds(data, lam1, pi), alpha)
         hit_direct += lo <= 0.0 <= hi
         lo, hi = conservative_interval(

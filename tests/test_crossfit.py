@@ -24,6 +24,12 @@ def toy_data(n=400, seed=0):
     return Dataset(x=x, z=z, a=a, y=y)
 
 
+def continuous_toy_data(n=400, seed=0):
+    d = toy_data(n, seed)
+    y = 12.0 * np.random.default_rng(seed + 1).random(n) * (0.5 + 0.5 * d.y)
+    return d.replace_outcome(y, "bounded-continuous")
+
+
 class TestFoldAssignment:
     def test_balanced_sizes(self):
         u = np.random.default_rng(0).random(103)
@@ -55,7 +61,7 @@ class TestRngStreams:
 class TestFitPropensity:
     def test_known_value(self):
         model = fit_propensity(toy_data(), parse_learner_spec("known:0.5"))
-        np.testing.assert_allclose(model.lambda1(np.zeros((3, 1))), 0.5)
+        np.testing.assert_allclose(model(np.zeros((3, 1))), 0.5)
 
     def test_known_out_of_range(self):
         with pytest.raises(ValueError):
@@ -66,7 +72,7 @@ class TestFitPropensity:
     def test_fitted_values_truncated(self):
         d = toy_data()
         model = fit_propensity(d, parse_learner_spec("constant"), eps=0.4)
-        p = model.lambda1(d.x)
+        p = model(d.x)
         assert np.all(p >= 0.4) and np.all(p <= 0.6)
 
     def test_degenerate_instrument(self):
@@ -80,7 +86,7 @@ class TestFitJoint:
     def test_cell_probabilities_normalize(self):
         d = toy_data()
         model = fit_joint(d, 1, parse_learner_spec("histogram"))
-        cells = model.cell_probs(d.x)
+        cells = model(d.x)
         np.testing.assert_allclose(cells.sum(axis=(1, 2)), 1.0, atol=1e-12)
 
     def test_empty_arm(self):
@@ -88,6 +94,16 @@ class TestFitJoint:
         one_arm = Dataset(x=d.x, z=np.ones(d.n, int), a=d.a, y=d.y)
         with pytest.raises(FitError):
             fit_joint(one_arm, 0, parse_learner_spec("constant"))
+
+    def test_non_binary_outcome_rejected_whatever_the_kind(self):
+        # A bounded-continuous outcome must be dichotomized first; fitting
+        # cells on it would keep only the rows whose label happens to fit.
+        d = continuous_toy_data()
+        with pytest.raises(FitError, match="outcome in"):
+            fit_joint(d, 1, parse_learner_spec("knn:20"))
+        with pytest.raises(FitError, match="outcome in"):
+            cross_fit(d, 3, parse_learner_spec("knn:20"),
+                      parse_learner_spec("histogram"), seed=0)
 
 
 class TestCrossFit:
@@ -104,8 +120,25 @@ class TestCrossFit:
         d = toy_data(300)
         nuis = cross_fit(d, 3, parse_learner_spec("constant"),
                          parse_learner_spec("known:0.5"), seed=3)
-        probs = [m.joint[1].cell_probs(d.x[:1]) for m in nuis.models]
+        probs = [arms[1](d.x[:1]) for arms in nuis.joint]
         assert not np.allclose(probs[0], probs[1])
+
+    @pytest.mark.parametrize("pi_spec,lam_spec", [
+        ("histogram", "histogram"), ("knn:20", "softmax"), ("constant", "known:0.5")])
+    def test_rows_get_their_complement_fits(self, pi_spec, lam_spec):
+        # Each fold's rows are predicted by fits on every other fold's rows.
+        d = toy_data(300)
+        pi_spec, lam_spec = parse_learner_spec(pi_spec), parse_learner_spec(lam_spec)
+        nuis = cross_fit(d, 3, pi_spec, lam_spec, seed=5, eps=0.05)
+        lam1, pi = nuis.evaluate(d)
+        for k in range(3):
+            rows = nuis.folds == k
+            train = d.subset(np.flatnonzero(~rows))
+            np.testing.assert_array_equal(
+                lam1[rows], fit_propensity(train, lam_spec, eps=0.05)(d.x[rows]))
+            for z in (0, 1):
+                np.testing.assert_array_equal(
+                    pi[rows, :, :, z], fit_joint(train, z, pi_spec)(d.x[rows]))
 
     def test_seed_determinism(self):
         d = toy_data(200)

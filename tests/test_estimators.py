@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivbounds.bounds import theta_lower, theta_profile
 from ivbounds.data import Dataset
@@ -10,6 +12,7 @@ from ivbounds.estimators import (
     wald_interval,
     z_quantile,
 )
+from ivbounds.lse import lse_bounds
 from ivbounds.simulation import gen_margin, margin_truth
 
 
@@ -60,6 +63,16 @@ class TestPsiCorrection:
         # each row touches only its own instrument arm
         arm = 1 - d.z
         assert np.all(c[np.arange(50), :, :, arm] == 0.0)
+
+    @pytest.mark.parametrize("y", [1.5, 0.5, -1.0])
+    def test_non_binary_outcome_rejected(self, y):
+        d = constant_x_data(20, 3)
+        d = d.replace_outcome(np.where(np.arange(20) == 7, y, d.y), "bounded-continuous")
+        pi = np.full((20, 2, 2, 2), 0.25)
+        with pytest.raises(ValueError, match="outcome in"):
+            psi_correction(d, np.full(20, 0.4), pi)
+        with pytest.raises(ValueError, match="outcome in"):
+            direct_bounds(d, np.full(20, 0.4), pi)
 
 
 class TestDirectBounds:
@@ -144,3 +157,34 @@ class TestWaldInterval:
         lo95, hi95 = wald_interval(est, 0.05)
         lo80, hi80 = wald_interval(est, 0.20)
         assert lo95 < lo80 and hi80 < hi95
+
+
+class TestInvariance:
+    """Estimates depend on the rows as a weighted set: neither their order
+    nor the scale of the weights may matter."""
+
+    @staticmethod
+    def random_inputs(seed, n, unit_weights):
+        rng = np.random.default_rng(seed)
+        d = Dataset(x=rng.random((n, 1)), z=rng.integers(0, 2, n),
+                    a=rng.integers(0, 2, n), y=rng.integers(0, 2, n),
+                    w=None if unit_weights else rng.uniform(0.1, 10.0, n))
+        lam1 = rng.uniform(0.1, 0.9, n)
+        pi = rng.dirichlet(np.ones(4), size=(n, 2)).transpose(0, 2, 1).reshape(n, 2, 2, 2)
+        return d, lam1, pi
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80),
+           unit_weights=st.booleans(), scale=st.floats(1e-3, 1e3))
+    def test_row_permutation_and_weight_scale(self, seed, n, unit_weights, scale):
+        d, lam1, pi = self.random_inputs(seed, n, unit_weights)
+        perm = np.random.default_rng(seed + 1).permutation(n)
+        permuted = Dataset(d.x[perm], d.z[perm], d.a[perm], d.y[perm], d.w[perm])
+        scaled = Dataset(d.x, d.z, d.a, d.y, scale * d.w)
+        for estimator in (direct_bounds, plugin_bounds, lse_bounds):
+            base = estimator(d, lam1, pi)
+            for other in (estimator(permuted, lam1[perm], pi[perm]),
+                          estimator(scaled, lam1, pi)):
+                for field in ("lower", "upper", "var_lower", "var_upper"):
+                    assert getattr(other, field) == pytest.approx(
+                        getattr(base, field), rel=0, abs=1e-12), (estimator, field)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ivbounds.simulation as simulation
 from ivbounds.bounds import theta_profile
 from ivbounds.simulation import (
     _ILLU_BETA,
@@ -187,3 +188,26 @@ class TestExperiments:
         out = coverage_experiment(500, reps=40, r=0.3, seed=2)
         assert 0.0 <= out["coverage_direct"] <= 1.0
         assert 0.0 <= out["coverage_lse"] <= 1.0
+
+    @pytest.mark.parametrize("experiment", [
+        lambda reps, seed: rmse_experiment([200], [0.3], reps, seed),
+        lambda reps, seed: coverage_experiment(200, reps, 0.3, seed),
+    ], ids=["rmse", "coverage"])
+    def test_seeds_share_no_replicate(self, experiment, monkeypatch):
+        # Replicate streams once sat at seed + 1000 * rep, so replicate 1 of
+        # seed 4 was replicate 0 of seed 1004.
+        drawn = []
+
+        def recording(fn):
+            def recorded(*args, **kwargs):
+                drawn.append(fn(*args, **kwargs))
+                return drawn[-1]
+            return recorded
+        for name in ("gen_margin", "oracle_noisy_nuisance"):
+            monkeypatch.setattr(simulation, name, recording(getattr(simulation, name)))
+        experiment(2, 4)
+        experiment(1, 1004)
+        assert len(drawn) == 6  # (data, nuisances) per replicate
+        (_, _, data_4, noise_4, data_1004, noise_1004) = drawn
+        assert not np.array_equal(data_4.x, data_1004.x)
+        assert noise_4.eps_lambda != noise_1004.eps_lambda

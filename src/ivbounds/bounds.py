@@ -26,6 +26,7 @@ __all__ = [
     "response_type_pi",
     "response_type_ate",
     "lp_sharp_bounds",
+    "check_sharpness",
     "LOWER_CONSTANTS",
     "UPPER_CONSTANTS",
 ]
@@ -192,11 +193,12 @@ def _basis_data() -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.inv(blocks[keep]), effects[combos[keep]]
 
 
-def lp_sharp_bounds(pi: np.ndarray, tol: float = 1e-7):
+def lp_sharp_bounds(pi: np.ndarray, tol: float = 1e-10):
     """Exact min/max of the ATE over response-type laws matching ``pi``.
 
     Enumerates the basic feasible solutions of the 7-equality linear system,
     so it is an oracle independent of the closed-form bound templates.
+    Bases with masses down to ``-tol`` count as feasible (bounds widen ~2 tol).
     Returns ``None`` when no law matches (an IV-model violation).
     """
     pi = np.asarray(pi, dtype=float)
@@ -213,3 +215,27 @@ def lp_sharp_bounds(pi: np.ndarray, tol: float = 1e-7):
         return None
     values = np.einsum("ij,ij->i", effects[feasible], q[feasible])
     return float(values.min()), float(values.max())
+
+
+def check_sharpness(laws, tol: float = 1e-8) -> dict:
+    """Closed-form bounds of each response-type law (row of ``laws``) must equal
+    ``lp_sharp_bounds`` within ``tol``, contain the law's ATE and nest inside
+    the natural bounds.  Returns a JSON-ready summary with every failure."""
+    worst, failures = 0.0, []
+    for i, q in enumerate(laws):
+        pi = response_type_pi(q)
+        lp = lp_sharp_bounds(pi)
+        if lp is None:
+            failures.append(f"law {i}: oracle reported infeasible")
+            continue
+        prof = theta_profile(pi)
+        gl, gu = prof.gamma_l, prof.gamma_u
+        worst = max(worst, abs(gl - lp[0]), abs(gu - lp[1]))
+        ate = response_type_ate(q)
+        if not gl - 1e-9 <= ate <= gu + 1e-9:
+            failures.append(f"law {i}: ATE {ate} outside [{gl}, {gu}]")
+        bl, bu = natural_bounds(pi)
+        if not (bl - 1e-12 <= gl and gu <= bu + 1e-12):
+            failures.append(f"law {i}: sharp bounds escape the natural bounds")
+    return {"laws": len(laws), "max_lp_gap": worst, "tolerance": tol,
+            "failures": failures, "ok": worst <= tol and not failures}

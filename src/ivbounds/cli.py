@@ -18,8 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bounds import (lp_sharp_bounds, natural_bounds, response_type_ate,
-                     response_type_pi, theta_profile)
+from .bounds import check_sharpness
 from .continuous import continuous_bounds
 from .crossfit import DEFAULT_EPS, DEFAULT_FOLDS, cross_fit, rng_stream
 from .data import ColumnMapping, LoadError, load_csv
@@ -98,7 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, indent=2, default=_jsonable)
+    text = json.dumps({"schema_version": REPORT_SCHEMA_VERSION,
+                       "software_version": __version__, **payload},
+                      indent=2, default=_jsonable)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -128,10 +129,7 @@ def _report(est, interval, args, diagnostics) -> dict:
     if args.clamp:
         lower, upper = max(lower, -1.0), min(upper, 1.0)
         lo, hi = max(lo, -1.0), min(hi, 1.0)
-    freqs = est.selection_frequencies()
     return {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "software_version": __version__,
         "method": est.method,
         "method_metadata": est.extra,
         "n": est.n,
@@ -140,10 +138,7 @@ def _report(est, interval, args, diagnostics) -> dict:
         "var_lower": est.var_lower,
         "var_upper": est.var_upper,
         "interval": {"lo": lo, "hi": hi, "level": 1.0 - args.delta},
-        "selection_frequencies": None if freqs is None else {
-            "lower": freqs["lower"].tolist(),
-            "upper": freqs["upper"].tolist(),
-        },
+        "selection_frequencies": est.selection_frequencies(),
         "diagnostics": diagnostics,
         "seed": args.seed,
         "config": _resolved_config(args),
@@ -156,15 +151,17 @@ def _cmd_bounds(args) -> int:
         covariates=[c for c in args.covariates.split(",") if c],
         instrument=args.instrument, exposure=args.exposure,
         outcome=args.outcome, weight=args.weights_col)
-    outcome_kind = "bounded-continuous" if args.method == "continuous" else "binary"
-    data = load_csv(args.input, mapping, outcome_kind)
-    pi_spec = parse_learner_spec(args.learner_pi)
-    lam_spec = parse_learner_spec(args.learner_lambda)
-    lse_config = LseConfig(args.t_rule, t=args.t)
     if args.t is not None and args.method != "lse":
         raise ValueError("--t applies only to --method lse")
     if args.t is not None and args.t_rule != "fixed":
         raise ValueError("--t requires --t-rule fixed")
+    lse_config = LseConfig(args.t_rule, t=args.t)
+    if args.method == "lse":
+        lse_config.temperature(1)  # a fixed rule without a positive --t fails here
+    pi_spec = parse_learner_spec(args.learner_pi)
+    lam_spec = parse_learner_spec(args.learner_lambda)
+    outcome_kind = "bounded-continuous" if args.method == "continuous" else "binary"
+    data = load_csv(args.input, mapping, outcome_kind)
 
     if args.method == "continuous":
         # The folds and the propensity ignore the outcome, so only the first
@@ -184,10 +181,9 @@ def _cmd_bounds(args) -> int:
     else:
         nuis = cross_fit(data, args.folds, pi_spec, lam_spec, args.seed, args.eps)
         lam1, pi = nuis.evaluate(data)
-        cell_sums = pi.sum(axis=(1, 2))
         diagnostics = {
             "propensity_range": [float(lam1.min()), float(lam1.max())],
-            "simplex_max_violation": float(np.abs(cell_sums - 1.0).max()),
+            "simplex_max_violation": float(np.abs(pi.sum(axis=(1, 2)) - 1.0).max()),
             "nuisance": nuis.descriptor,
         }
         if args.method == "lse":
@@ -209,9 +205,7 @@ def _cmd_simulate(args) -> int:
             writer = csv_mod.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
-    _emit({"schema_version": REPORT_SCHEMA_VERSION,
-           "software_version": __version__,
-           "experiment": "margin-rmse", "rows": rows,
+    _emit({"experiment": "margin-rmse", "rows": rows,
            "config": _resolved_config(args)}, args.output)
     return 0
 
@@ -226,8 +220,6 @@ def _cmd_illustrate(args) -> int:
     est = direct_bounds(data, lam1, pi)
     lo, hi = wald_interval(est, args.delta)
     _emit({
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "software_version": __version__,
         "truth": {k: float(v) for k, v in truth.items()},
         "population_bounds_by_adjustment": {
             k: list(v) for k, v in widths.items()},
@@ -241,54 +233,22 @@ def _cmd_illustrate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    rng = rng_stream(args.seed, 99)
-    worst = 0.0
-    failures = []
-    for i in range(args.laws):
-        q = rng.dirichlet(np.ones(16))
-        pi = response_type_pi(q)
-        prof = theta_profile(pi[None])
-        lp = lp_sharp_bounds(pi)
-        if lp is None:
-            failures.append(f"law {i}: oracle reported infeasible")
-            continue
-        gl, gu = float(prof.gamma_l[0]), float(prof.gamma_u[0])
-        worst = max(worst, abs(gl - lp[0]), abs(gu - lp[1]))
-        ate = response_type_ate(q)
-        if not gl - 1e-9 <= ate <= gu + 1e-9:
-            failures.append(f"law {i}: ATE {ate} outside [{gl}, {gu}]")
-        bl, bu = natural_bounds(pi[None])
-        if not (bl[0] - 1e-12 <= gl and gu <= bu[0] + 1e-12):
-            failures.append(f"law {i}: sharp bounds escape the natural bounds")
-    ok = worst <= args.tol and not failures
-    print(json.dumps({
-        "laws": args.laws,
-        "max_lp_gap": worst,
-        "tolerance": args.tol,
-        "failures": failures[:20],
-        "ok": ok,
-    }, indent=2))
-    return 0 if ok else 1
+    laws = rng_stream(args.seed, 99).dirichlet(np.ones(16), size=args.laws)
+    result = check_sharpness(laws, args.tol)
+    print(json.dumps({**result, "failures": result["failures"][:20]}, indent=2))
+    return 0 if result["ok"] else 1
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    commands = {"bounds": _cmd_bounds, "simulate": _cmd_simulate,
+                "illustrate": _cmd_illustrate, "check": _cmd_check}
     try:
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "illustrate":
-            return _cmd_illustrate(args)
-        return _cmd_check(args)
-    except LoadError as exc:
-        print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(json.dumps({"error": "io-error", "message": str(exc)}), file=sys.stderr)
-        return 2
-    except (FitError, ValueError) as exc:
-        code = "fit-error" if isinstance(exc, FitError) else "invalid-config"
+        return commands[args.command](args)
+    except (OSError, FitError, ValueError) as exc:
+        code = (exc.code if isinstance(exc, LoadError) else
+                "io-error" if isinstance(exc, OSError) else
+                "fit-error" if isinstance(exc, FitError) else "invalid-config")
         print(json.dumps({"error": code, "message": str(exc)}), file=sys.stderr)
         return 2
 

@@ -47,7 +47,12 @@ Predictor = Callable[[np.ndarray], np.ndarray]
 
 
 def rng_stream(seed: int, *path: int) -> np.random.Generator:
-    """Philox generator on the sub-stream addressed by (seed, *path)."""
+    """Philox generator on the sub-stream addressed by (seed, *path).
+
+    ``SeedSequence`` zero-pads the path, so paths that differ only by
+    trailing zeros are one stream: ``(s, 10, 0)`` draws exactly ``(s, 10)``.
+    The paths in use are listed in the README under "Reproducibility".
+    """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *path])))
 
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,63 +88,92 @@ class ColumnMapping:
     weight: str | None = None
 
 
-def _parse_float(value: str, row_no: int, col: str) -> float:
+def _cell_error(text: str, kind: str) -> tuple[str, str] | None:
+    """(code, complaint) for a cell that fails ``kind``'s check, else None.
+
+    Numbers are read as NumPy's text parser reads them: whitespace-padded
+    ASCII without ``_`` digit separators.
+    """
+    number = text.strip()
     try:
-        v = float(value)
+        value = float(number) if number.isascii() and "_" not in number else None
     except ValueError:
-        raise LoadError("malformed-numeric",
-                        f"row {row_no}: column '{col}' value {value!r} is not numeric")
-    if not math.isfinite(v):
-        raise LoadError("non-finite",
-                        f"row {row_no}: column '{col}' value {value!r} is not finite")
-    return v
+        value = None
+    if value is None:
+        return "malformed-numeric", "is not numeric"
+    if not math.isfinite(value):
+        return "non-finite", "is not finite"
+    if kind == "binary" and value not in (0.0, 1.0):
+        return "non-binary", "is not 0/1"
+    if kind == "weight" and value <= 0:
+        return "non-positive-weight", "is not positive"
+    return None
 
 
-def _parse_binary(value: str, row_no: int, col: str) -> int:
-    v = _parse_float(value, row_no, col)
-    if v not in (0.0, 1.0):
-        raise LoadError("non-binary",
-                        f"row {row_no}: column '{col}' value {value!r} is not 0/1")
-    return int(v)
+def _raise_first_error(path, required, usecols, kinds, first_row=1):
+    """Raise the LoadError of the first bad record from ``first_row`` on.
+
+    Error path only: re-reading the records with ``csv`` names the cell that
+    the column-wise parse rejected or its validation flagged, and quotes it.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        records = itertools.islice((r for r in reader if r), first_row - 1, None)
+        for row_no, record in enumerate(records, start=first_row):
+            cells = [record[i] if i < len(record) else "" for i in usecols]
+            if blank := [c for c, text in zip(required, cells) if not text.strip()]:
+                raise LoadError("missing-field", f"row {row_no}: missing value(s) for {blank}")
+            for col, kind, text in zip(required, kinds, cells):
+                if error := _cell_error(text, kind):
+                    raise LoadError(error[0],
+                                    f"row {row_no}: column '{col}' value {text!r} {error[1]}")
+    raise LoadError("malformed-numeric", f"{path}: data rows are not numeric")
 
 
 def load_csv(path, mapping: ColumnMapping,
              outcome_kind: str = "binary") -> Dataset:
     """Load a header-mapped CSV into a typed Dataset.
 
-    Rows with missing required fields or non-finite values (``nan``,
-    ``inf``) are rejected with their row numbers (1-based, counting the
-    header as row 0).
+    The header is read by ``csv`` and the body column-wise by ``np.loadtxt``:
+    fields may be quoted (``"a,b"``), blank lines are skipped, ``#`` starts
+    no comment, and ``_`` digit separators or non-ASCII digits are malformed.
+    A row with a missing, malformed or non-finite required value, a non-0/1
+    instrument, exposure or binary outcome, or a non-positive weight raises
+    ``LoadError`` with its code and row number (1-based, header is row 0).
     """
+    required = [*mapping.covariates, mapping.instrument, mapping.exposure,
+                mapping.outcome]
+    kinds = ["real"] * len(mapping.covariates) + [
+        "binary", "binary", "binary" if outcome_kind == "binary" else "real"]
+    if mapping.weight:
+        required.append(mapping.weight)
+        kinds.append("weight")
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        header = next(csv.reader(fh), None)
+        if header is None:
             raise LoadError("empty-file", f"{path}: no header row")
-        required = list(mapping.covariates) + [mapping.instrument,
-                                               mapping.exposure, mapping.outcome]
-        if mapping.weight:
-            required.append(mapping.weight)
-        missing = [c for c in required if c not in reader.fieldnames]
-        if missing:
+        if missing := [c for c in required if c not in header]:
             raise LoadError("missing-column", f"{path}: columns not found: {missing}")
-
-        xs, zs, as_, ys, ws = [], [], [], [], []
-        for row_no, row in enumerate(reader, start=1):
-            blank = [c for c in required if not (row.get(c) or "").strip()]
-            if blank:
-                raise LoadError("missing-field",
-                                f"row {row_no}: missing value(s) for {blank}")
-            xs.append([_parse_float(row[c], row_no, c) for c in mapping.covariates])
-            zs.append(_parse_binary(row[mapping.instrument], row_no, mapping.instrument))
-            as_.append(_parse_binary(row[mapping.exposure], row_no, mapping.exposure))
-            if outcome_kind == "binary":
-                ys.append(_parse_binary(row[mapping.outcome], row_no, mapping.outcome))
-            else:
-                ys.append(_parse_float(row[mapping.outcome], row_no, mapping.outcome))
-            if mapping.weight:
-                ws.append(_parse_float(row[mapping.weight], row_no, mapping.weight))
-    if not zs:
+        column = {name: i for i, name in enumerate(header)}  # last one wins
+        usecols = [column[c] for c in required]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no data rows
+                table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
+                                   usecols=usecols, ndmin=2)
+        except ValueError:
+            _raise_first_error(path, required, usecols, kinds)
+    if not table.size:
         raise LoadError("empty-file", f"{path}: no data rows")
-    return Dataset(np.array(xs), np.array(zs), np.array(as_), np.array(ys),
-                   np.array(ws) if mapping.weight else None,
+    binary, weight = (np.array(kinds) == kind for kind in ("binary", "weight"))
+    bad = ~np.isfinite(table)
+    bad[:, binary] |= ~np.isin(table[:, binary], (0.0, 1.0))
+    bad[:, weight] |= table[:, weight] <= 0
+    flagged = np.flatnonzero(bad.any(axis=1))
+    if flagged.size:
+        _raise_first_error(path, required, usecols, kinds, int(flagged[0]) + 1)
+    d = len(mapping.covariates)
+    z, a, y, *w = table[:, d:].T.copy()  # contiguous columns
+    return Dataset(table[:, :d].copy(), z, a, y, w[0] if w else None,
                    colnames=list(mapping.covariates), outcome_kind=outcome_kind)

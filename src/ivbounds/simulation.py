@@ -90,12 +90,14 @@ def gen_margin(n: int, seed: int, replicate: int | None = None) -> Dataset:
 _X2_CUTS = (-0.99, -0.5, 0.5, 0.99)
 _X1_PROBS = (0.3, 0.7)  # P(X1 = 0), P(X1 = 1)
 
+_STRATA = ("AT", "NT", "DE", "CO")
 _ILLU_BETA = {
     "AT": (0.20, 0.35),
     "NT": (0.90, 0.95),
     "DE": (0.65, 0.725),
     "CO": (0.25, 0.375),
 }
+_ILLU_EXPOSURE = {"AT": (1, 1), "NT": (0, 0), "DE": (1, 0), "CO": (0, 1)}  # A at z=0, 1
 
 
 def _strata(x1, x2, appendix_compat=False):
@@ -117,8 +119,7 @@ def gen_illustration(n: int, seed: int, appendix_compat: bool = False) -> Datase
     x1 = (rng.random(n) < _X1_PROBS[1]).astype(int)
     x2 = rng.uniform(-1.0, 1.0, n)
     s = _strata(x1, x2, appendix_compat)
-    a = np.where(s == "AT", 1, np.where(s == "NT", 0,
-                 np.where(s == "DE", 1 - z, z)))
+    a = np.array([_ILLU_EXPOSURE[k] for k in s])[np.arange(n), z]
     beta = np.array([_ILLU_BETA[k] for k in s])
     p = beta[np.arange(n), a]
     y = (rng.random(n) < p).astype(float)
@@ -134,28 +135,16 @@ def _stratum_weights(x, appendix_compat=False):
     """Row-wise probability of each stratum given covariates (AT, NT, DE, CO)."""
     x = np.atleast_2d(x)
     s = _strata(x[:, 0].astype(int), x[:, 1], appendix_compat)
-    w = np.zeros((len(s), 4))
-    for j, k in enumerate(("AT", "NT", "DE", "CO")):
-        w[:, j] = s == k
-    return w
+    return (s[:, None] == np.array(_STRATA)).astype(float)
 
 
 def illustration_pi(x, appendix_compat: bool = False):
     """Closed-form joint cells; strata are deterministic in the covariates."""
     w = _stratum_weights(x, appendix_compat)
     pi = np.zeros((len(w), 2, 2, 2))
-    for j, k in enumerate(("AT", "NT", "DE", "CO")):
-        b0, b1 = _ILLU_BETA[k]
-        for z in (0, 1):
-            if k == "AT":
-                a = 1
-            elif k == "NT":
-                a = 0
-            elif k == "DE":
-                a = 1 - z
-            else:
-                a = z
-            p = (b0, b1)[a]
+    for j, k in enumerate(_STRATA):
+        for z, a in enumerate(_ILLU_EXPOSURE[k]):
+            p = _ILLU_BETA[k][a]
             pi[:, 1, a, z] += w[:, j] * p
             pi[:, 0, a, z] += w[:, j] * (1.0 - p)
     return pi
@@ -179,8 +168,7 @@ def illustration_truth(appendix_compat: bool = False) -> dict:
     intervals and the two values of X1."""
     x, w = _illustration_atoms()
     prof = theta_profile(illustration_pi(x, appendix_compat))
-    cate = np.array([b1 - b0 for (b0, b1) in
-                     (_ILLU_BETA[k] for k in ("AT", "NT", "DE", "CO"))])
+    cate = np.array([_ILLU_BETA[k][1] - _ILLU_BETA[k][0] for k in _STRATA])
     return {"lower": float(w @ prof.gamma_l), "upper": float(w @ prof.gamma_u),
             "ate": float(w @ (_stratum_weights(x, appendix_compat) @ cate))}
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from ivbounds.bounds import (
+    RESPONSE_TYPES,
+    check_sharpness,
     lp_sharp_bounds,
     natural_bounds,
     response_type_ate,
@@ -178,3 +180,33 @@ class TestLpOracle:
         assert lp_sharp_bounds(np.full((2, 2, 2), 0.2)) is None
         with pytest.raises(ValueError):
             lp_sharp_bounds(np.zeros((2, 2)))
+
+
+class TestCheckSharpness:
+    @pytest.mark.parametrize("alpha", [1.0, 0.1, 0.03])
+    def test_dirichlet_corpus(self, alpha):
+        laws = np.random.default_rng(11).dirichlet(np.full(16, alpha), size=400)
+        result = check_sharpness(laws)
+        assert result["ok"] and result["failures"] == []
+        assert result["laws"] == 400 and result["max_lp_gap"] <= 1e-8
+
+    def test_deterministic_compliance(self):
+        # compliers only: A = Z, so the sharp bounds collapse onto the ATE
+        compliers = (RESPONSE_TYPES[:, 0] == 0) & (RESPONSE_TYPES[:, 1] == 1)
+        laws = np.zeros((60, 16))
+        laws[:, compliers] = np.random.default_rng(12).dirichlet(
+            np.full(4, 0.3), size=60)
+        assert check_sharpness(laws)["ok"]
+        for q in laws:
+            prof = theta_profile(response_type_pi(q))
+            assert prof.gamma_l == pytest.approx(response_type_ate(q), abs=1e-12)
+            assert prof.gamma_u == pytest.approx(response_type_ate(q), abs=1e-12)
+
+    def test_reports_failures(self):
+        good = np.full(16, 1 / 16)
+        bad = good.copy()
+        bad[:2] = [-0.5, 0.5 + 1 / 16]  # not a law: no response-type law matches
+        result = check_sharpness(np.array([good, bad]))
+        assert not result["ok"]
+        assert result["failures"] == ["law 1: oracle reported infeasible"]
+        assert not check_sharpness(good[None], tol=-1.0)["ok"]

@@ -140,6 +140,28 @@ class TestBoundsCommand:
         assert err["error"] == "non-finite"
         assert "row 17" in err["message"]
 
+    def test_non_positive_weight_exits_2(self, tmp_path, capsys):
+        csv = tmp_path / "w.csv"
+        csv.write_text("x1,x2,z,a,y,wt\n0,0,0,0,0,1\n0,1,1,1,1,-2\n")
+        rc = main(["bounds", str(csv), *BOUNDS_ARGS, "--weights-col", "wt"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "non-positive-weight",
+                       "message": "row 2: column 'wt' value '-2' is not positive"}
+
+    @pytest.mark.parametrize("flags", [
+        ["--method", "direct", "--t", "2"],
+        ["--method", "lse", "--t", "2"],
+        ["--method", "lse", "--t-rule", "fixed"],
+        ["--method", "lse", "--t-rule", "fixed", "--t", "-1"],
+        ["--learner-pi", "forest"],
+        ["--learner-lambda", "known:half"],
+    ])
+    def test_flags_checked_before_reading_input(self, tmp_path, capsys, flags):
+        rc = main(["bounds", str(tmp_path / "absent.csv"), *BOUNDS_ARGS, *flags])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "invalid-config"
+
     def test_output_file(self, tmp_path, capsys):
         csv = write_illustration_csv(tmp_path / "d.csv", n=300)
         out = tmp_path / "report.json"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivbounds.crossfit import (
     ClosedFormNuisance,
@@ -48,6 +50,19 @@ class TestFoldAssignment:
         u = np.random.default_rng(2).random(30)
         np.testing.assert_array_equal(fold_assignment(u, 3), fold_assignment(u, 3))
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
+           n_folds=st.integers(1, 12), ties=st.booleans())
+    def test_property_balanced_and_permutes_with_rows(self, seed, n, n_folds, ties):
+        rng = np.random.default_rng(seed)
+        u = rng.integers(0, 4, n) / 4.0 if ties else rng.random(n)
+        folds = fold_assignment(u, n_folds)
+        sizes = np.bincount(folds, minlength=n_folds)
+        assert len(sizes) == n_folds and sizes.max() - sizes.min() <= 1
+        if not ties:  # with tied draws the stable rank follows row order
+            perm = rng.permutation(n)
+            np.testing.assert_array_equal(folds[perm], fold_assignment(u[perm], n_folds))
+
 
 class TestRngStreams:
     def test_distinct_paths_distinct_draws(self):
@@ -56,6 +71,23 @@ class TestRngStreams:
         c = rng_stream(7, 1).random(5)
         assert not np.allclose(a, b)
         np.testing.assert_array_equal(a, c)
+
+    def test_paths_in_use_draw_distinct_streams(self):
+        reps = range(1, 5)
+        draws = {}
+        for s in (0, 4, 77, 1004):
+            paths = [(s, 0), (s, 1), *[(s, 1, r) for r in reps],
+                     (s, 10), *[(s, 10, r) for r in reps], (s, 11),
+                     *[(s, 20, r) for r in range(5)], (s, 99)]
+            for path in paths:
+                draws[path] = tuple(rng_stream(*path).random(4))
+        assert len(set(draws.values())) == len(draws)
+
+    def test_trailing_zeros_alias(self):
+        # SeedSequence zero-pads its entropy: replicate 0 is the plain stream
+        for short in [(7,), (7, 10), (7, 1)]:
+            np.testing.assert_array_equal(rng_stream(*short, 0).random(4),
+                                          rng_stream(*short).random(4))
 
 
 class TestFitPropensity:

@@ -275,3 +275,25 @@ class TestFactory:
         clf = make_classifier(parse_learner_spec(name), 2)
         p = clf.fit(x, labels, np.ones(200)).predict_proba(x)
         simplex_rows(p)
+
+
+class TestDegenerateInputs:
+    """Every learner returns rows on the simplex on degenerate training data."""
+
+    SPECS = ["constant", "histogram", "histogram:2", "knn:5", "knn:500", "softmax"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=st.sampled_from(SPECS), seed=st.integers(0, 2**32 - 1),
+           n=st.integers(1, 60), n_classes=st.sampled_from([2, 4]),
+           one_class=st.booleans(), constant_x=st.booleans())
+    def test_property_simplex_rows(self, spec, seed, n, n_classes, one_class,
+                                   constant_x):
+        rng = np.random.default_rng(seed)
+        x = np.full((n, 2), 0.5) if constant_x else rng.random((n, 2))
+        labels = (np.full(n, int(rng.integers(n_classes))) if one_class
+                  else rng.integers(0, n_classes, n))
+        clf = make_classifier(parse_learner_spec(spec), n_classes)
+        p = clf.fit(x, labels, rng.uniform(0.5, 2.0, n)).predict_proba(
+            np.vstack([x, rng.normal(0, 3, (5, 2))]))
+        assert p.shape == (n + 5, n_classes)
+        simplex_rows(p)

@@ -91,12 +91,16 @@ def theta_upper_linear(pi: np.ndarray) -> np.ndarray:
 
 def theta_lower(pi: np.ndarray) -> np.ndarray:
     """The 8 lower-bound candidate values, in display order (index 0 = first)."""
-    return theta_lower_linear(pi) + LOWER_CONSTANTS
+    theta = theta_lower_linear(pi)
+    theta += LOWER_CONSTANTS  # in place: one (n, 8) array at a time
+    return theta
 
 
 def theta_upper(pi: np.ndarray) -> np.ndarray:
     """The 8 upper-bound candidate values, in display order."""
-    return theta_upper_linear(pi) + UPPER_CONSTANTS
+    theta = theta_upper_linear(pi)
+    theta += UPPER_CONSTANTS
+    return theta
 
 
 @dataclass(frozen=True)

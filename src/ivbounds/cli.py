@@ -20,7 +20,8 @@ import numpy as np
 from . import __version__
 from .bounds import check_sharpness
 from .continuous import continuous_bounds
-from .crossfit import DEFAULT_EPS, DEFAULT_FOLDS, cross_fit, rng_stream
+from .crossfit import (DEFAULT_EPS, DEFAULT_FOLDS, check_cross_fit_settings, cross_fit,
+                       rng_stream)
 from .data import ColumnMapping, LoadError, load_csv
 from .estimators import direct_bounds, wald_interval
 from .learners import FitError, parse_learner_spec
@@ -160,6 +161,9 @@ def _cmd_bounds(args) -> int:
         lse_config.temperature(1)  # a fixed rule without a positive --t fails here
     pi_spec = parse_learner_spec(args.learner_pi)
     lam_spec = parse_learner_spec(args.learner_lambda)
+    check_cross_fit_settings(args.folds, lam_spec, args.eps)
+    if args.method == "continuous" and args.m < 1:
+        raise ValueError("m must be at least 1")
     outcome_kind = "bounded-continuous" if args.method == "continuous" else "binary"
     data = load_csv(args.input, mapping, outcome_kind)
 
@@ -244,6 +248,8 @@ def main(argv=None) -> int:
     commands = {"bounds": _cmd_bounds, "simulate": _cmd_simulate,
                 "illustrate": _cmd_illustrate, "check": _cmd_check}
     try:
+        if not 0 <= args.seed < 2 ** 32:  # the entries rng_stream accepts
+            raise ValueError(f"--seed {args.seed} outside [0, 2**32)")
         return commands[args.command](args)
     except (OSError, FitError, ValueError) as exc:
         code = (exc.code if isinstance(exc, LoadError) else

@@ -31,6 +31,7 @@ __all__ = [
     "fit_joint",
     "fold_assignment",
     "cross_fit",
+    "check_cross_fit_settings",
     "ClosedFormNuisance",
     "oracle_noisy_nuisance",
     "DEFAULT_EPS",
@@ -51,8 +52,12 @@ def rng_stream(seed: int, *path: int) -> np.random.Generator:
 
     ``SeedSequence`` zero-pads the path, so paths that differ only by
     trailing zeros are one stream: ``(s, 10, 0)`` draws exactly ``(s, 10)``.
-    The paths in use are listed in the README under "Reproducibility".
+    Entries must lie in [0, 2**32): a larger one is split into 32-bit words,
+    so ``(2**32 + 5, 10)`` would be ``(5, 1, 10)``.  The paths in use are
+    listed in the README under "Reproducibility".
     """
+    if not all(0 <= v < 2 ** 32 for v in (seed, *path)):
+        raise ValueError(f"stream path {(seed, *path)} has an entry outside [0, 2**32)")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *path])))
 
 
@@ -65,11 +70,7 @@ def logit(p):
     return np.log(p) - np.log1p(-p)
 
 
-def fit_propensity(data: Dataset, learner: LearnerSpec,
-                   eps: float = DEFAULT_EPS) -> Predictor:
-    """Predictor x -> P(Z=1 | X=x), truncated into [eps, 1-eps]."""
-    if data.n == 0:
-        raise FitError("empty data")
+def _check_propensity_settings(learner: LearnerSpec, eps: float) -> None:
     if not 0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 0.5)")
     if learner.name == "known":
@@ -78,6 +79,24 @@ def fit_propensity(data: Dataset, learner: LearnerSpec,
             raise ValueError(f"known propensity {c} outside (0, 1)")
         if not eps <= c <= 1.0 - eps:
             raise ValueError(f"known propensity {c} outside [eps, 1-eps]")
+
+
+def check_cross_fit_settings(n_folds: int, lambda_learner: LearnerSpec,
+                             eps: float = DEFAULT_EPS) -> None:
+    """Raise ``ValueError`` for settings ``cross_fit`` rejects whatever the data."""
+    if n_folds < 2:
+        raise ValueError("need at least 2 folds")
+    _check_propensity_settings(lambda_learner, eps)
+
+
+def fit_propensity(data: Dataset, learner: LearnerSpec,
+                   eps: float = DEFAULT_EPS) -> Predictor:
+    """Predictor x -> P(Z=1 | X=x), truncated into [eps, 1-eps]."""
+    if data.n == 0:
+        raise FitError("empty data")
+    _check_propensity_settings(learner, eps)
+    if learner.name == "known":
+        c = float(learner.params["value"])
 
         def raw(x):
             return np.full(x.shape[0], c)
@@ -171,8 +190,7 @@ def cross_fit(data: Dataset, n_folds: int, pi_learner: LearnerSpec,
               lambda_learner: LearnerSpec, seed: int,
               eps: float = DEFAULT_EPS) -> FoldedNuisances:
     """Fit per-fold predictors on each fold's complement."""
-    if n_folds < 2:
-        raise ValueError("need at least 2 folds")
+    check_cross_fit_settings(n_folds, lambda_learner, eps)
     if data.n < 2 * n_folds:
         raise ValueError("need n >= 2K observations")
     folds = fold_assignment(rng_stream(seed, 0).random(data.n), n_folds)
@@ -198,7 +216,7 @@ class ClosedFormNuisance:
 
     lambda1_fn: Callable[[np.ndarray], np.ndarray]
     pi_fn: Callable[[np.ndarray], np.ndarray]
-    zero_mask: np.ndarray | None = None
+    zero_mask: np.ndarray = field(default_factory=lambda: np.zeros((2, 2, 2), dtype=bool))
 
     def evaluate(self, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
         return (np.asarray(self.lambda1_fn(data.x), dtype=float),
@@ -207,22 +225,39 @@ class ClosedFormNuisance:
 
 @dataclass
 class _NoisyNuisance:
-    truth: ClosedFormNuisance
-    eps_lambda: float
-    eps_pi: np.ndarray  # (2, 2, 2) per-function shifts
+    """The truth shifted on the logit scale by ``scale * (1 + e)`` for nine
+    fixed standard normals ``e``: one for lam1, then one per cell."""
 
-    def evaluate(self, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    truth: ClosedFormNuisance
+    normals: np.ndarray
+    scale: float
+
+    def __post_init__(self):
+        draws = self.scale + self.scale * self.normals
+        self.eps_lambda, self.eps_pi = float(draws[0]), draws[1:].reshape(2, 2, 2)
+
+    def truth_logits(self, data: Dataset) -> tuple:
+        """The checked truth at ``data``'s rows, which ``shift`` perturbs:
+        logit lam1, and the cells with their live ones on the logit scale."""
         lam1, pi = self.truth.evaluate(data)
-        zero = (self.truth.zero_mask if self.truth.zero_mask is not None
-                else np.zeros((2, 2, 2), dtype=bool))
         if np.any((lam1 <= 0) | (lam1 >= 1)):
             raise ValueError("propensity truth of 0/1 cannot be logit-perturbed")
-        out = np.array(pi)
-        live = ~zero
+        live = ~self.truth.zero_mask
         if np.any((pi[:, live] <= 0) | (pi[:, live] >= 1)):
             raise ValueError("only structurally-zero cells may be exactly 0/1")
-        out[:, live] = expit(logit(pi[:, live]) + self.eps_pi[live])
-        return expit(logit(lam1) + self.eps_lambda), out
+        cells = np.array(pi)
+        cells[:, live] = logit(pi[:, live])
+        return logit(lam1), cells
+
+    def shift(self, logits: tuple) -> tuple[np.ndarray, np.ndarray]:
+        lam_logit, cells = logits
+        live = ~self.truth.zero_mask
+        out = np.array(cells)
+        out[:, live] = expit(cells[:, live] + self.eps_pi[live])
+        return expit(lam_logit + self.eps_lambda), out
+
+    def evaluate(self, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+        return self.shift(self.truth_logits(data))
 
 
 def oracle_noisy_nuisance(truth: ClosedFormNuisance, n: int, r: float, h: float,
@@ -238,6 +273,4 @@ def oracle_noisy_nuisance(truth: ClosedFormNuisance, n: int, r: float, h: float,
     if h < 0:
         raise ValueError("h must be nonnegative")
     rng = rng_stream(seed, 1, *([] if replicate is None else [replicate]))
-    scale = h * n ** (-r)
-    draws = scale + scale * rng.standard_normal(9)
-    return _NoisyNuisance(truth, float(draws[0]), draws[1:].reshape(2, 2, 2))
+    return _NoisyNuisance(truth, rng.standard_normal(9), h * n ** (-r))

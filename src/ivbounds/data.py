@@ -110,6 +110,21 @@ def _cell_error(text: str, kind: str) -> tuple[str, str] | None:
     return None
 
 
+def _records(fh):
+    """The ``csv`` records of ``fh``.  A field over ``csv.field_size_limit()``
+    is LoadError ``field-too-large`` at its row (header 0, blanks unnumbered)."""
+    reader, row_no = csv.reader(fh), 0
+    while True:
+        try:
+            record = next(reader, None)
+        except csv.Error as exc:  # the only one: the dialect is not strict
+            raise LoadError("field-too-large", f"row {row_no}: {exc}") from None
+        if record is None:
+            return
+        yield record
+        row_no += bool(record)
+
+
 def _raise_first_error(path, required, usecols, kinds, first_row=1):
     """Raise the LoadError of the first bad record from ``first_row`` on.
 
@@ -117,9 +132,9 @@ def _raise_first_error(path, required, usecols, kinds, first_row=1):
     the column-wise parse rejected or its validation flagged, and quotes it.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        records = itertools.islice((r for r in reader if r), first_row - 1, None)
+        records = (r for r in _records(fh) if r)
+        next(records)  # the header
+        records = itertools.islice(records, first_row - 1, None)
         for row_no, record in enumerate(records, start=first_row):
             cells = [record[i] if i < len(record) else "" for i in usecols]
             if blank := [c for c, text in zip(required, cells) if not text.strip()]:
@@ -141,6 +156,8 @@ def load_csv(path, mapping: ColumnMapping,
     A row with a missing, malformed or non-finite required value, a non-0/1
     instrument, exposure or binary outcome, or a non-positive weight raises
     ``LoadError`` with its code and row number (1-based, header is row 0).
+    So does a field too long for ``csv`` in the header or in a record read
+    to find a bad cell (``field-too-large``).
     """
     required = [*mapping.covariates, mapping.instrument, mapping.exposure,
                 mapping.outcome]
@@ -150,7 +167,7 @@ def load_csv(path, mapping: ColumnMapping,
         required.append(mapping.weight)
         kinds.append("weight")
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
+        header = next(_records(fh), None)
         if header is None:
             raise LoadError("empty-file", f"{path}: no header row")
         if missing := [c for c in required if c not in header]:

@@ -9,10 +9,14 @@ correction
 and the one-step bound estimates average the candidate expressions
 evaluated at pi + c, selecting per row the candidate that is extreme at
 the plug-in pi.
+
+``BoundKernel`` computes what the direct, plug-in and smooth estimators
+share, once: the candidates at pi with their extremes and selectors, and c.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -20,12 +24,14 @@ import numpy as np
 
 # theta_*_linear are imported only for perfbench/spans.py, which traces them
 # under this module's name as well as lse's.
-from .bounds import theta_lower, theta_lower_linear, theta_upper, theta_upper_linear
+from .bounds import (theta_lower, theta_lower_linear, theta_profile, theta_upper,
+                     theta_upper_linear)
 from .data import Dataset
 
 __all__ = [
     "psi_correction",
     "BoundEstimate",
+    "BoundKernel",
     "direct_bounds",
     "plugin_bounds",
     "wald_interval",
@@ -42,16 +48,14 @@ def psi_correction(data: Dataset, lam1: np.ndarray, pi: np.ndarray) -> np.ndarra
     """Per-observation correction array of shape (n, 2, 2, 2)."""
     if not np.all((data.y == 0.0) | (data.y == 1.0)):
         raise ValueError("the correction needs an outcome in {0, 1}")
-    lam1 = np.asarray(lam1, dtype=float)
-    lam = np.where(data.z[:, None, None, None] == 1, lam1[:, None, None, None],
-                   1.0 - lam1[:, None, None, None])
-    zmatch = (data.z[:, None, None, None]
-              == np.arange(2)[None, None, None, :]).astype(float)
-    cell = ((data.y.astype(int)[:, None, None, None]
-             == np.arange(2)[None, :, None, None])
-            & (data.a[:, None, None, None]
-               == np.arange(2)[None, None, :, None])).astype(float)
-    return zmatch / lam * (cell - pi)
+    rows, z, lam1 = np.arange(data.n), data.z, np.asarray(lam1, dtype=float)
+    inv_lam = np.zeros((data.n, 1, 1, 2))  # 1 / lam_z in the row's own arm z, else 0
+    inv_lam[rows, 0, 0, z] = 1.0 / np.where(z == 1, lam1, 1.0 - lam1)
+    c = np.zeros((data.n, 2, 2, 2))
+    c[rows, data.y.astype(int), data.a] = 1.0
+    c -= pi
+    c *= inv_lam
+    return c
 
 
 @dataclass
@@ -110,27 +114,38 @@ def _finish(data, lower_phi, upper_phi, d_l, d_u, method, extra) -> BoundEstimat
     )
 
 
+class BoundKernel:
+    """Per-row pieces shared by the estimators at nuisances (lam1, pi): the
+    ``profile`` of the candidates at pi and, on first use, the correction c."""
+
+    def __init__(self, data: Dataset, lam1: np.ndarray, pi: np.ndarray):
+        self.data, self.lam1, self.pi = data, lam1, pi
+        self.profile = theta_profile(pi)
+
+    @functools.cached_property
+    def c(self) -> np.ndarray:
+        return psi_correction(self.data, self.lam1, self.pi)
+
+    def direct(self) -> BoundEstimate:
+        p, corrected = self.profile, self.pi + self.c
+        rows = np.arange(self.data.n)
+        return _finish(self.data, theta_lower(corrected)[rows, p.d_l - 1],
+                       theta_upper(corrected)[rows, p.d_u - 1],
+                       p.d_l, p.d_u, "direct", {})
+
+    def plugin(self) -> BoundEstimate:
+        p = self.profile
+        return _finish(self.data, p.gamma_l, p.gamma_u, p.d_l, p.d_u, "plugin", {})
+
+
 def direct_bounds(data: Dataset, lam1: np.ndarray, pi: np.ndarray) -> BoundEstimate:
     """One-step estimator selecting the plug-in maximizer/minimizer per row."""
-    th_l = theta_lower(pi)
-    th_u = theta_upper(pi)
-    d_l = np.argmax(th_l, axis=-1)
-    d_u = np.argmin(th_u, axis=-1)
-    c = psi_correction(data, lam1, pi)
-    rows = np.arange(data.n)
-    phi_l = theta_lower(pi + c)[rows, d_l]
-    phi_u = theta_upper(pi + c)[rows, d_u]
-    return _finish(data, phi_l, phi_u, d_l + 1, d_u + 1, "direct", {})
+    return BoundKernel(data, lam1, pi).direct()
 
 
 def plugin_bounds(data: Dataset, lam1: np.ndarray, pi: np.ndarray) -> BoundEstimate:
     """Sample average of the row-wise extreme candidates at the plug-in pi."""
-    th_l = theta_lower(pi)
-    th_u = theta_upper(pi)
-    d_l = np.argmax(th_l, axis=-1)
-    d_u = np.argmin(th_u, axis=-1)
-    return _finish(data, np.max(th_l, axis=-1), np.min(th_u, axis=-1),
-                   d_l + 1, d_u + 1, "plugin", {})
+    return BoundKernel(data, lam1, pi).plugin()
 
 
 def wald_interval(est: BoundEstimate, alpha: float = 0.05) -> tuple[float, float]:

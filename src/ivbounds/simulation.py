@@ -13,13 +13,17 @@ Two data-generating processes:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .bounds import theta_profile
 from .crossfit import ClosedFormNuisance, oracle_noisy_nuisance, rng_stream
 from .data import Dataset
-from .estimators import direct_bounds, plugin_bounds, wald_interval
-from .lse import LseConfig, conservative_interval, lse_bounds
+# direct_bounds, plugin_bounds and lse_bounds are imported only for
+# perfbench/spans.py, which traces them under this module's name.
+from .estimators import BoundKernel, direct_bounds, plugin_bounds, wald_interval
+from .lse import LseConfig, conservative_interval, lse_bounds, lse_estimate
 
 __all__ = [
     "gen_margin",
@@ -176,13 +180,25 @@ def illustration_truth(appendix_compat: bool = False) -> dict:
 # ---------------------------------------------------------------------------
 # Experiments.  Replicate ``rep`` of master seed ``seed`` draws its data and
 # its nuisance noise from the stream paths (seed, 10, rep) and (seed, 1, rep),
-# so distinct seeds never share a replicate.
+# so distinct seeds never share a replicate.  Neither depends on the rate r,
+# which only rescales the noise, so each (n, rep) is drawn once.
 
-def _margin_replicate(truth, n, r, h, seed, rep):
-    """One margin-design sample with its noisy oracle nuisances."""
-    data = gen_margin(n, seed, rep)
-    lam1, pi = oracle_noisy_nuisance(truth, n, r, h, seed, rep).evaluate(data)
-    return data, lam1, pi
+def _check_design(n_grid, r_grid, reps: int) -> None:
+    """Raise before any replicate runs if a setting would fail in one."""
+    if (reps < 1 or not n_grid or not r_grid or any(n < 1 for n in n_grid)
+            or not all(0 < r <= 0.5 for r in r_grid)):
+        raise ValueError("need reps >= 1 and non-empty grids with every n >= 1 "
+                         "and every r in (0, 0.5]")
+
+
+def _bounds_by_method(data, nuisances, config: LseConfig) -> dict:
+    """(lower, upper) of the direct, smooth and plug-in estimates at
+    nuisances (lam1, pi), read from one kernel.  Only floats leave, so no
+    kernel's (n, 8) arrays outlive it while the next rate's are built."""
+    kernel = BoundKernel(data, *nuisances)
+    ests = {"direct": kernel.direct(), "lse": lse_estimate(kernel, config),
+            "plugin": kernel.plugin()}
+    return {m: (est.lower, est.upper) for m, est in ests.items()}
 
 
 def rmse_experiment(n_grid, r_grid, reps: int, seed: int,
@@ -191,25 +207,25 @@ def rmse_experiment(n_grid, r_grid, reps: int, seed: int,
 
     Nuisances are the closed-form truth perturbed on the logit scale by one
     N(h n^-r, h^2 n^-2r) draw per function, giving nuisance error of order
-    n^-r.  True lower and upper bounds are both 0.
+    n^-r.  True lower and upper bounds are both 0.  Rows are in (n, r) order.
     """
+    _check_design(n_grid, r_grid, reps)
     truth = margin_truth()
     rows = []
     for n in n_grid:
-        for r in r_grid:
-            errs = {m: [] for m in ("direct", "lse", "plugin")}
-            for rep in range(reps):
-                data, lam1, pi = _margin_replicate(truth, n, r, h, seed, rep)
-                for name, est in (
-                    ("direct", direct_bounds(data, lam1, pi)),
-                    ("lse", lse_bounds(data, lam1, pi,
-                                       LseConfig("simulation", h=h, r=r))),
-                    ("plugin", plugin_bounds(data, lam1, pi)),
-                ):
-                    errs[name].append((est.lower, est.upper))
+        errs = [[] for _ in r_grid]  # per r, one _bounds_by_method per rep
+        for rep in range(reps):
+            data = gen_margin(n, seed, rep)
+            noise = oracle_noisy_nuisance(truth, n, r_grid[0], h, seed, rep)
+            logits = noise.truth_logits(data)  # checked once, rescaled per r
+            for r, err in zip(r_grid, errs):
+                noise_r = replace(noise, scale=h * n ** (-r))
+                err.append(_bounds_by_method(data, noise_r.shift(logits),
+                                             LseConfig("simulation", h=h, r=r)))
+        for r, err in zip(r_grid, errs):
             row = {"n": n, "r": r, "reps": reps}
-            for name, pairs in errs.items():
-                arr = np.asarray(pairs)
+            for name in ("direct", "lse", "plugin"):
+                arr = np.asarray([e[name] for e in err])
                 row[f"rmse_lower_{name}"] = float(np.sqrt(np.mean(arr[:, 0] ** 2)))
                 row[f"rmse_upper_{name}"] = float(np.sqrt(np.mean(arr[:, 1] ** 2)))
                 row[f"bias_lower_{name}"] = float(np.mean(arr[:, 0]))
@@ -221,14 +237,17 @@ def rmse_experiment(n_grid, r_grid, reps: int, seed: int,
 def coverage_experiment(n: int, reps: int, r: float, seed: int,
                         h: float = MARGIN_H, alpha: float = 0.05) -> dict:
     """Coverage of [L, U] = [0, 0] by the direct and smoothed-conservative CIs."""
+    _check_design([n], [r], reps)
     truth = margin_truth()
     hit_direct = hit_lse = 0
     for rep in range(reps):
-        data, lam1, pi = _margin_replicate(truth, n, r, h, seed, rep)
-        lo, hi = wald_interval(direct_bounds(data, lam1, pi), alpha)
+        data = gen_margin(n, seed, rep)
+        noise = oracle_noisy_nuisance(truth, n, r, h, seed, rep)
+        kernel = BoundKernel(data, *noise.evaluate(data))
+        lo, hi = wald_interval(kernel.direct(), alpha)
         hit_direct += lo <= 0.0 <= hi
         lo, hi = conservative_interval(
-            lse_bounds(data, lam1, pi, LseConfig("simulation", h=h, r=r)), alpha)
+            lse_estimate(kernel, LseConfig("simulation", h=h, r=r)), alpha)
         hit_lse += lo <= 0.0 <= hi
     return {"n": n, "reps": reps, "r": r,
             "coverage_direct": hit_direct / reps,

@@ -162,6 +162,36 @@ class TestBoundsCommand:
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "invalid-config"
 
+    @pytest.mark.parametrize("flags", [
+        ["--folds", "1"],
+        ["--eps", "0"],
+        ["--eps", "0.5"],
+        ["--method", "continuous", "--m", "0"],
+        ["--learner-lambda", "known:1.5"],
+        ["--learner-lambda", "known:0.005"],  # outside [eps, 1-eps]
+        ["--learner-lambda", "known:0.2", "--eps", "0.3"],
+        ["--seed", str(2**32)],
+        ["--seed", "-1"],
+    ])
+    def test_fit_settings_checked_before_reading_input(self, tmp_path, capsys, flags):
+        rc = main(["bounds", str(tmp_path / "absent.csv"), *BOUNDS_ARGS, *flags])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "invalid-config"
+
+    @pytest.mark.parametrize("where", ["header", "before a bad cell"])
+    def test_oversized_field_exits_2(self, tmp_path, capsys, where):
+        big = '"' + "x" * 200_000 + '"'
+        if where == "header":
+            text = f"x1,x2,z,a,y,{big}\n0,0,0,0,0,t\n"
+        else:
+            text = f"x1,x2,z,a,y,note\n0,0,0,0,0,{big}\n0,0,5,0,0,t\n"
+        csv = tmp_path / "big.csv"
+        csv.write_text(text)
+        assert main(["bounds", str(csv), *BOUNDS_ARGS]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "field-too-large"
+        assert err["message"].startswith("row 0:" if where == "header" else "row 1:")
+
     def test_output_file(self, tmp_path, capsys):
         csv = write_illustration_csv(tmp_path / "d.csv", n=300)
         out = tmp_path / "report.json"
@@ -255,6 +285,17 @@ class TestOtherCommands:
             main([*command, "--threads", "2"])
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--reps", "1", "--n-grid", "20", "--r-grid", "0.3"],
+        ["illustrate", "--n", "200", "--folds", "2"],
+        ["check", "--laws", "5"],
+    ])
+    def test_seed_outside_32_bits_rejected(self, command, capsys):
+        assert main([*command, "--seed", str(2**32 + 5)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid-config"
+        assert "2**32" in err["message"]
 
     def test_check_passes(self, capsys):
         rc = main(["check", "--laws", "50"])

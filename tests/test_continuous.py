@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivbounds.continuous import (
     OutcomeTransform,
@@ -90,6 +92,31 @@ class TestContinuousBounds:
         assert cont.upper == pytest.approx(binary.upper, abs=1e-12)
         assert cont.var_lower == pytest.approx(binary.var_lower, abs=1e-12)
         assert cont.selection_frequencies() is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
+           unit_weights=st.booleans(), method=st.sampled_from(["direct", "lse"]))
+    def test_m1_matches_binary_pipeline_on_random_data(self, seed, n, unit_weights,
+                                                      method):
+        # Any binary data and any nuisances: with m = 1 and the unit range the
+        # pseudo-outcome is 1 - y, whose bounds negate and swap the binary ones.
+        rng = np.random.default_rng(seed)
+        data = Dataset(x=rng.random((n, 2)), z=rng.integers(0, 2, n),
+                       a=rng.integers(0, 2, n), y=rng.integers(0, 2, n),
+                       w=None if unit_weights else rng.uniform(0.1, 10.0, n))
+        lam1 = rng.uniform(0.05, 0.95, n)
+        pi = rng.dirichlet(np.ones(4), size=(n, 2)).transpose(0, 2, 1).reshape(n, 2, 2, 2)
+        binary = {"direct": direct_bounds, "lse": lse_bounds}[method](data, lam1, pi)
+
+        class Pseudo:
+            def evaluate(self, d):
+                return lam1, pi[:, ::-1]
+
+        cont = continuous_bounds(data, lambda aug: Pseudo(), m=1, seed=seed,
+                                 method=method, transform=OutcomeTransform(0.0, 1.0))
+        for field in ("lower", "upper", "var_lower", "var_upper"):
+            assert getattr(cont, field) == pytest.approx(
+                getattr(binary, field), rel=0, abs=1e-12), field
 
     def test_fitted_nuisances_identity(self):
         # Same identity with refit learners: label-symmetric learners make

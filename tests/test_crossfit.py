@@ -83,6 +83,19 @@ class TestRngStreams:
                 draws[path] = tuple(rng_stream(*path).random(4))
         assert len(set(draws.values())) == len(draws)
 
+    @pytest.mark.parametrize("path", [(2**32 + 5, 10), (5, 1, 2**32), (-1,), (0, -3)])
+    def test_entries_outside_32_bits_rejected(self, path):
+        # SeedSequence splits 2**32 + 5 into the words (5, 1), so the path
+        # (2**32 + 5, 10) would draw exactly (5, 1, 10).
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+            rng_stream(*path)
+
+    @pytest.mark.parametrize("path, first", [
+        ((0,), 0.014067035665647709), ((5, 1, 10), 0.010125362860919584),
+        ((2**32 - 1, 10, 3), 0.86265354233677), ((7, 0), 0.46881748695593284)])
+    def test_in_range_streams_unchanged(self, path, first):
+        assert rng_stream(*path).random() == first
+
     def test_trailing_zeros_alias(self):
         # SeedSequence zero-pads its entropy: replicate 0 is the plain stream
         for short in [(7,), (7, 10), (7, 1)]:

@@ -357,6 +357,34 @@ class TestLoaderDifferences:
         assert load_csv(p, MAPPING).x[0, 0] == 30.0
 
 
+class TestOversizedField:
+    """A quoted field longer than ``csv.field_size_limit()`` that ``csv`` must
+    read is a LoadError with its row, not a ``csv.Error``."""
+
+    BIG = '"' + "x" * 200_000 + '"'
+
+    def test_in_the_header(self, tmp_path):
+        p = write_csv(tmp_path, f"age,z,a,y,{self.BIG}\n30,0,0,0,t\n")
+        with pytest.raises(LoadError) as exc:
+            load_csv(p, MAPPING)
+        assert exc.value.code == "field-too-large"
+        assert str(exc.value).startswith("row 0: field larger than field limit")
+
+    def test_before_a_bad_cell(self, tmp_path):
+        p = write_csv(tmp_path, f"age,z,a,y,note\n\n30,0,0,0,t\n\n31,1,1,1,{self.BIG}\n"
+                                "32,5,0,0,t\n")
+        with pytest.raises(LoadError) as exc:
+            load_csv(p, MAPPING)
+        assert exc.value.code == "field-too-large"
+        assert str(exc.value).startswith("row 2: ")  # blank lines take no number
+
+    def test_after_the_bad_cell_is_not_read(self, tmp_path):
+        p = write_csv(tmp_path, f"age,z,a,y,note\n30,5,0,0,t\n31,1,1,1,{self.BIG}\n")
+        with pytest.raises(LoadError) as exc:
+            load_csv(p, MAPPING)
+        assert exc.value.code == "non-binary"
+
+
 class TestNonPositiveWeight:
     @pytest.mark.parametrize("value", ["-2", "0", "-0.0"])
     def test_cites_row(self, tmp_path, value):

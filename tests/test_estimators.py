@@ -3,16 +3,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivbounds.bounds import theta_lower, theta_profile
+import ivbounds.estimators as estimators
+from ivbounds.bounds import (
+    theta_lower,
+    theta_lower_linear,
+    theta_profile,
+    theta_upper,
+    theta_upper_linear,
+)
 from ivbounds.data import Dataset
 from ivbounds.estimators import (
+    BoundKernel,
     direct_bounds,
     plugin_bounds,
     psi_correction,
     wald_interval,
     z_quantile,
 )
-from ivbounds.lse import lse_bounds
+from ivbounds.lse import LseConfig, lse, lse_bounds, lse_estimate, lse_grad
 from ivbounds.simulation import gen_margin, margin_truth
 
 
@@ -188,3 +196,90 @@ class TestInvariance:
                 for field in ("lower", "upper", "var_lower", "var_upper"):
                     assert getattr(other, field) == pytest.approx(
                         getattr(base, field), rel=0, abs=1e-12), (estimator, field)
+
+
+def reference_psi_correction(data, lam1, pi):
+    """The correction by broadcasting 0/1 indicator arrays against pi."""
+    lam1 = np.asarray(lam1, dtype=float)
+    lam = np.where(data.z[:, None, None, None] == 1, lam1[:, None, None, None],
+                   1.0 - lam1[:, None, None, None])
+    zmatch = (data.z[:, None, None, None]
+              == np.arange(2)[None, None, None, :]).astype(float)
+    cell = ((data.y.astype(int)[:, None, None, None]
+             == np.arange(2)[None, :, None, None])
+            & (data.a[:, None, None, None]
+               == np.arange(2)[None, None, :, None])).astype(float)
+    return zmatch / lam * (cell - pi)
+
+
+def reference_estimates(data, lam1, pi, t):
+    """Per-row contributions and 1-based selectors of the direct, plug-in and
+    smooth estimators, each building its own candidates and correction."""
+    rows = np.arange(data.n)
+    out = {}
+    th_l, th_u = theta_lower(pi), theta_upper(pi)
+    d_l, d_u = np.argmax(th_l, axis=-1), np.argmin(th_u, axis=-1)
+    c = reference_psi_correction(data, lam1, pi)
+    out["direct"] = (theta_lower(pi + c)[rows, d_l], theta_upper(pi + c)[rows, d_u])
+    out["plugin"] = (np.max(th_l, axis=-1), np.min(th_u, axis=-1))
+    out["lse"] = (
+        lse(th_l, t) + np.sum(lse_grad(th_l, t) * theta_lower_linear(c), axis=-1),
+        -lse(-th_u, t) + np.sum(lse_grad(-th_u, t) * theta_upper_linear(c), axis=-1))
+    return out, d_l + 1, d_u + 1
+
+
+class TestKernelMatchesReference:
+    """The kernel's readers give bit-for-bit the contributions of the
+    estimators that built everything themselves."""
+
+    def check(self, data, lam1, pi, t=25.0):
+        ref, d_l, d_u = reference_estimates(data, lam1, pi, t)
+        kernel = BoundKernel(data, lam1, pi)
+        for name, est in (("direct", kernel.direct()), ("plugin", kernel.plugin()),
+                          ("lse", lse_estimate(kernel, LseConfig("fixed", t=t)))):
+            assert est.method == name
+            assert est.phi_lower.tobytes() == ref[name][0].tobytes(), name
+            assert est.phi_upper.tobytes() == ref[name][1].tobytes(), name
+            np.testing.assert_array_equal(est.d_lower, d_l)
+            np.testing.assert_array_equal(est.d_upper, d_u)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80),
+           unit_weights=st.booleans())
+    def test_random_inputs(self, seed, n, unit_weights):
+        self.check(*TestInvariance.random_inputs(seed, n, unit_weights))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_margin_truth_with_ties(self, seed):
+        # Structural zeros make several candidates tie exactly at every row.
+        d = gen_margin(300, seed)
+        self.check(d, *margin_truth().evaluate(d))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80))
+    def test_correction_bitwise(self, seed, n):
+        d, lam1, pi = TestInvariance.random_inputs(seed, n, True)
+        assert psi_correction(d, lam1, pi).tobytes() == reference_psi_correction(
+            d, lam1, pi).tobytes()
+
+    def test_correction_computed_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(estimators, "psi_correction",
+                            lambda *a: calls.append(1) or psi_correction(*a))
+        d = gen_margin(200, 3)
+        kernel = BoundKernel(d, *margin_truth().evaluate(d))
+        kernel.plugin()
+        assert calls == []
+        kernel.direct()
+        lse_estimate(kernel)
+        kernel.direct()
+        assert calls == [1]
+
+    def test_public_estimators_read_the_kernel(self):
+        d, lam1, pi = TestInvariance.random_inputs(5, 60, False)
+        kernel = BoundKernel(d, lam1, pi)
+        for est, ref in ((direct_bounds(d, lam1, pi), kernel.direct()),
+                         (plugin_bounds(d, lam1, pi), kernel.plugin()),
+                         (lse_bounds(d, lam1, pi), lse_estimate(kernel))):
+            assert (est.lower, est.upper, est.var_lower, est.var_upper) == (
+                ref.lower, ref.upper, ref.var_lower, ref.var_upper)

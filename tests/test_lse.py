@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivbounds.estimators import direct_bounds, wald_interval
 from ivbounds.lse import (
     LseConfig,
+    _lse_and_grad,
     conservative_interval,
     lse,
     lse_bounds,
@@ -140,3 +143,48 @@ class TestLseBounds:
         lam1, pi = margin_truth().evaluate(d)
         with pytest.raises(ValueError):
             conservative_interval(direct_bounds(d, lam1, pi))
+
+
+def reference_lse(v, t):
+    """lse with its own exponential, as before the value and the gradient
+    shared one."""
+    v = np.asarray(v, dtype=float)
+    m = np.max(v, axis=-1, keepdims=True)
+    e = np.exp(t * (v - m))
+    is_max = v == m
+    n_max = is_max.sum(axis=-1)
+    rest = np.sum(np.where(is_max, 0.0, e), axis=-1)
+    return m[..., 0] + np.log1p((n_max - 1.0) + rest) / t
+
+
+def reference_lse_grad(v, t):
+    v = np.asarray(v, dtype=float)
+    e = np.exp(t * (v - np.max(v, axis=-1, keepdims=True)))
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+# A few repeated values make tied maxima (and signed zeros) common.
+ENTRY = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 1.0]),
+                  st.floats(-50.0, 50.0, allow_nan=False))
+
+
+class TestSharedExponential:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.lists(ENTRY, min_size=8, max_size=8), min_size=1, max_size=6),
+           t=st.floats(1e-2, 1e4), one_row=st.booleans())
+    def test_value_and_gradient_bitwise(self, rows, t, one_row):
+        v = np.array(rows[0] if one_row else rows)
+        value, grad = _lse_and_grad(v, t)
+        for got, ref, public in ((value, reference_lse(v, t), lse(v, t)),
+                                 (grad, reference_lse_grad(v, t), lse_grad(v, t))):
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+            assert public.tobytes() == ref.tobytes()
+
+    def test_tied_maxima(self):
+        v = np.array([[0.5, 0.5, 0.0, -1.0, 0.5, 0.2, -3.0, 0.1],
+                      [-0.0, 0.0, -2.0, -2.0, -2.0, -2.0, -2.0, -2.0]])
+        value, grad = _lse_and_grad(v, 3.0)
+        assert value.tobytes() == reference_lse(v, 3.0).tobytes()
+        assert grad.tobytes() == reference_lse_grad(v, 3.0).tobytes()
+        assert np.all(value > v.max(axis=-1))

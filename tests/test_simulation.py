@@ -1,10 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
 import ivbounds.simulation as simulation
 from ivbounds.bounds import theta_profile
+from ivbounds.cli import main
+from ivbounds.crossfit import oracle_noisy_nuisance
+from ivbounds.estimators import direct_bounds, plugin_bounds, wald_interval
+from ivbounds.lse import LseConfig, conservative_interval, lse_bounds
 from ivbounds.simulation import (
     _ILLU_BETA,
+    MARGIN_H,
     _stratum_weights,
     coverage_experiment,
     gen_illustration,
@@ -211,3 +218,102 @@ class TestExperiments:
         (_, _, data_4, noise_4, data_1004, noise_1004) = drawn
         assert not np.array_equal(data_4.x, data_1004.x)
         assert noise_4.eps_lambda != noise_1004.eps_lambda
+
+
+def reference_replicate(truth, n, r, h, seed, rep):
+    data = gen_margin(n, seed, rep)
+    lam1, pi = oracle_noisy_nuisance(truth, n, r, h, seed, rep).evaluate(data)
+    return data, lam1, pi
+
+
+def reference_rmse(n_grid, r_grid, reps, seed, h=MARGIN_H):
+    """The experiment as one replicate per (n, r, rep), each estimator
+    building its own candidates and correction."""
+    truth = margin_truth()
+    rows = []
+    for n in n_grid:
+        for r in r_grid:
+            errs = {m: [] for m in ("direct", "lse", "plugin")}
+            for rep in range(reps):
+                data, lam1, pi = reference_replicate(truth, n, r, h, seed, rep)
+                for name, est in (
+                    ("direct", direct_bounds(data, lam1, pi)),
+                    ("lse", lse_bounds(data, lam1, pi,
+                                       LseConfig("simulation", h=h, r=r))),
+                    ("plugin", plugin_bounds(data, lam1, pi)),
+                ):
+                    errs[name].append((est.lower, est.upper))
+            row = {"n": n, "r": r, "reps": reps}
+            for name, pairs in errs.items():
+                arr = np.asarray(pairs)
+                row[f"rmse_lower_{name}"] = float(np.sqrt(np.mean(arr[:, 0] ** 2)))
+                row[f"rmse_upper_{name}"] = float(np.sqrt(np.mean(arr[:, 1] ** 2)))
+                row[f"bias_lower_{name}"] = float(np.mean(arr[:, 0]))
+                row[f"bias_upper_{name}"] = float(np.mean(arr[:, 1]))
+            rows.append(row)
+    return rows
+
+
+def reference_coverage(n, reps, r, seed, h=MARGIN_H, alpha=0.05):
+    truth = margin_truth()
+    hit_direct = hit_lse = 0
+    for rep in range(reps):
+        data, lam1, pi = reference_replicate(truth, n, r, h, seed, rep)
+        lo, hi = wald_interval(direct_bounds(data, lam1, pi), alpha)
+        hit_direct += lo <= 0.0 <= hi
+        lo, hi = conservative_interval(
+            lse_bounds(data, lam1, pi, LseConfig("simulation", h=h, r=r)), alpha)
+        hit_lse += lo <= 0.0 <= hi
+    return {"n": n, "reps": reps, "r": r,
+            "coverage_direct": hit_direct / reps,
+            "coverage_lse": hit_lse / reps}
+
+
+@pytest.mark.parametrize("seed", [0, 4, 2**32 - 1])
+class TestSharedKernelMatchesReference:
+    """One kernel per replicate and one draw per (n, rep) give exactly the
+    numbers of the per-(n, r, rep) loops."""
+
+    @pytest.mark.parametrize("n_grid, r_grid, reps", [
+        ([60, 400], [0.1, 0.25, 0.5], 3),
+        ([1, 150], [0.5, 0.2, 0.5], 4),  # one row, and a repeated rate
+    ])
+    def test_rmse(self, seed, n_grid, r_grid, reps):
+        assert rmse_experiment(n_grid, r_grid, reps, seed) == reference_rmse(
+            n_grid, r_grid, reps, seed)
+
+    @pytest.mark.parametrize("n, reps, r", [(80, 6, 0.3), (700, 3, 0.5)])
+    def test_coverage(self, seed, n, reps, r):
+        assert coverage_experiment(n, reps, r, seed) == reference_coverage(
+            n, reps, r, seed)
+
+
+class TestDesignChecks:
+    @pytest.mark.parametrize("n_grid, r_grid, reps", [
+        ([100], [0.3], 0), ([100, 0], [0.3], 2), ([-5], [0.3], 2),
+        ([100], [0.0], 2), ([100], [0.3, 0.6], 2), ([100], [], 2), ([], [0.3], 2),
+    ])
+    def test_rmse_rejects_before_any_replicate(self, n_grid, r_grid, reps, monkeypatch):
+        monkeypatch.setattr(simulation, "gen_margin", None)  # any replicate fails
+        with pytest.raises(ValueError):
+            rmse_experiment(n_grid, r_grid, reps, seed=0)
+
+    @pytest.mark.parametrize("n, reps, r", [(100, 0, 0.3), (0, 2, 0.3), (100, 2, 0.7)])
+    def test_coverage_rejects_before_any_replicate(self, n, reps, r, monkeypatch):
+        monkeypatch.setattr(simulation, "gen_margin", None)
+        with pytest.raises(ValueError):
+            coverage_experiment(n, reps, r, seed=0)
+
+    @pytest.mark.parametrize("flags", [
+        ["--reps", "0"], ["--n-grid", "0"], ["--n-grid", "500,-1"],
+        ["--r-grid", "0.3,0.7"], ["--r-grid", "0"], ["--seed", str(2**32)],
+        ["--seed", "-1"],
+    ])
+    def test_simulate_exits_2_before_any_replicate(self, flags, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(simulation, "gen_margin",
+                            lambda *a: calls.append(a) or gen_margin(*a))
+        assert main(["simulate", "--reps", "1", "--n-grid", "20", *flags]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid-config"
+        assert calls == []

@@ -215,11 +215,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_illustrate(args) -> int:
+    pi_spec = parse_learner_spec(args.learner_pi)
+    lam_spec = parse_learner_spec(args.learner_lambda)
     truth = illustration_truth(appendix_compat=args.appendix_f_compat)
     widths = width_comparison(args.appendix_f_compat)
     data = gen_illustration(args.n, args.seed, args.appendix_f_compat)
-    nuis = cross_fit(data, args.folds, parse_learner_spec(args.learner_pi),
-                     parse_learner_spec(args.learner_lambda), args.seed)
+    nuis = cross_fit(data, args.folds, pi_spec, lam_spec, args.seed)
     lam1, pi = nuis.evaluate(data)
     est = direct_bounds(data, lam1, pi)
     lo, hi = wald_interval(est, args.delta)

@@ -4,7 +4,8 @@ Every nuisance source shares one protocol, ``evaluate(data) -> (lam1, pi)``
 with ``lam1[i] = P(Z=1 | x_i)`` and ``pi[i, y, a, z] = P(Y=y, A=a | x_i, Z=z)``.
 Fitted nuisances are plain predictors: ``fit_propensity`` returns
 ``x -> lam1`` truncated into [eps, 1-eps] and ``fit_joint`` returns
-``x -> (n, 2, 2)`` cells of one instrument arm.  ``FoldedNuisances`` holds,
+``x -> (n, 2, 2)`` cells of one instrument arm (a ``JointCells``, which
+keeps its classifier for a later refit).  ``FoldedNuisances`` holds,
 per fold, the predictors fitted without that fold and evaluates each row
 out of fold.
 
@@ -22,13 +23,14 @@ from typing import Callable
 import numpy as np
 
 from .data import Dataset
-from .learners import FitError, LearnerSpec, make_classifier
+from .learners import FitError, KnnFrequency, LearnerSpec, make_classifier
 
 __all__ = [
     "rng_stream",
     "FoldedNuisances",
     "fit_propensity",
     "fit_joint",
+    "JointCells",
     "fold_assignment",
     "cross_fit",
     "check_cross_fit_settings",
@@ -110,21 +112,47 @@ def fit_propensity(data: Dataset, learner: LearnerSpec,
     return lambda x: np.clip(raw(np.atleast_2d(x)), eps, 1.0 - eps)
 
 
-def fit_joint(data: Dataset, z: int, learner: LearnerSpec) -> Predictor:
-    """Predictor x -> (n, 2, 2) cells P(Y=y, A=a | X=x, Z=z), indexed [y, a]."""
+@dataclass(frozen=True)
+class JointCells:
+    """Predictor x -> (n, 2, 2) cells of one instrument arm, indexed [y, a],
+    with the learner spec and the classifier fitted on that arm."""
+
+    learner: LearnerSpec
+    classifier: object
+
+    def __call__(self, x):
+        return self.classifier.predict_proba(np.atleast_2d(x)).reshape(-1, 2, 2)
+
+
+def fit_joint(data: Dataset, z: int, learner: LearnerSpec,
+              previous: JointCells | None = None) -> JointCells:
+    """Predictor x -> (n, 2, 2) cells P(Y=y, A=a | X=x, Z=z), indexed [y, a].
+
+    ``previous`` is this arm's predictor fitted by the same learner on rows
+    whose x, z and w equal ``data``'s.  A knn learner then keeps its
+    neighbour search and recounts the new outcome's labels
+    (``KnnFrequency.relabel``, which checks the rows); every other learner
+    is fitted afresh.
+    """
     if not np.all(np.isin(data.y, [0.0, 1.0])):
         raise FitError("joint cells need an outcome in {0, 1}")
     arm = data.z == z
     if not np.any(arm):
         raise FitError(f"no observations in instrument arm z={z}")
-    labels = (2 * data.y[arm].astype(int) + data.a[arm]).astype(int)
-    clf = make_classifier(learner, 4).fit(data.x[arm], labels, data.w[arm])
-    return lambda x: clf.predict_proba(np.atleast_2d(x)).reshape(-1, 2, 2)
+    fit_args = (data.x[arm], (2 * data.y[arm].astype(int) + data.a[arm]).astype(int),
+                data.w[arm])
+    if (previous is not None and previous.learner == learner
+            and isinstance(previous.classifier, KnnFrequency)):
+        return JointCells(learner, previous.classifier.relabel(*fit_args))
+    return JointCells(learner, make_classifier(learner, 4).fit(*fit_args))
 
 
-def _fit_arms(train: Dataset, learner: LearnerSpec) -> tuple[Predictor, Predictor]:
-    """Joint-cell predictors for the z=0 and z=1 arms of one training set."""
-    return fit_joint(train, 0, learner), fit_joint(train, 1, learner)
+def _fit_arms(train: Dataset, learner: LearnerSpec,
+              previous=(None, None)) -> tuple[JointCells, JointCells]:
+    """Joint-cell predictors for the z=0 and z=1 arms of one training set,
+    each refit from ``previous`` when given (see ``fit_joint``)."""
+    return (fit_joint(train, 0, learner, previous[0]),
+            fit_joint(train, 1, learner, previous[1]))
 
 
 @dataclass
@@ -132,9 +160,9 @@ class FoldedNuisances:
     """Per-fold predictors, each fitted on its fold's complement, with
     out-of-fold evaluation."""
 
-    folds: np.ndarray                         # (n,) fold index per row, 0..K-1
-    propensity: list[Predictor]               # per fold: x -> lam1
-    joint: list[tuple[Predictor, Predictor]]  # per fold: (z=0, z=1) cells
+    folds: np.ndarray                           # (n,) fold index per row, 0..K-1
+    propensity: list[Predictor]                 # per fold: x -> lam1
+    joint: list[tuple[JointCells, JointCells]]  # per fold: (z=0, z=1) cells
     descriptor: dict
     fitted_on: Dataset = field(repr=False)
 
@@ -151,11 +179,12 @@ class FoldedNuisances:
 
         The folds and the propensity predictors depend on (x, z, w) only, so
         they are shared; ``data`` may differ from the fitted rows in its
-        outcome alone.
+        outcome alone.  So each arm is refit from its current predictor,
+        which lets a knn learner keep the neighbours it found.
         """
         self._check_rows(data)
-        joint = [_fit_arms(data.subset(np.flatnonzero(self.folds != k)), pi_learner)
-                 for k in range(len(self.joint))]
+        joint = [_fit_arms(data.subset(np.flatnonzero(self.folds != k)), pi_learner, arms)
+                 for k, arms in enumerate(self.joint)]
         return replace(self, joint=joint,
                        descriptor={**self.descriptor, "pi": pi_learner.name})
 

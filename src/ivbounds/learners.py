@@ -7,6 +7,7 @@ learners apply Laplace smoothing so no predicted cell is exactly 0 or 1.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,19 +39,36 @@ class LearnerSpec:
     params: dict = field(default_factory=dict)
 
 
+# The argument a learner takes after ``name:``: (keyword, type, least value).
+_ARGUMENTS = {"known": ("value", float, None), "knn": ("k", int, 1),
+              "histogram": ("max_depth", int, 0),
+              "constant": None, "logistic": None, "softmax": None}
+
+
 def parse_learner_spec(text: str) -> LearnerSpec:
-    """Parse CLI-style specs such as ``known:0.5``, ``knn:50``, ``histogram``."""
-    name, _, arg = text.partition(":")
+    """Parse CLI-style specs such as ``known:0.5``, ``knn:50``, ``histogram``.
+
+    ``known:c`` needs a number, ``knn:k`` takes an integer k >= 1 and
+    ``histogram:d`` an integer depth d >= 0; the other learners take no
+    argument.  Any other spec raises ``ValueError``.
+    """
+    name, sep, arg = text.partition(":")
     name = name.strip()
-    if name == "known":
-        return LearnerSpec("known", {"value": float(arg)})
-    if name == "knn" and arg:
-        return LearnerSpec("knn", {"k": int(arg)})
-    if name == "histogram" and arg:
-        return LearnerSpec("histogram", {"max_depth": int(arg)})
-    if name in ("constant", "histogram", "knn", "logistic", "softmax"):
+    if name not in _ARGUMENTS:
+        raise ValueError(f"unknown learner spec: {text!r}")
+    if not sep and name != "known":
         return LearnerSpec(name)
-    raise ValueError(f"unknown learner spec: {text!r}")
+    if _ARGUMENTS[name] is None:
+        raise ValueError(f"learner {name!r} takes no argument: {text!r}")
+    key, kind, least = _ARGUMENTS[name]
+    try:
+        value = kind(arg)
+    except ValueError:
+        raise ValueError(f"learner {name!r} needs {'a number' if kind is float else 'an integer'}"
+                         f" {key}: {text!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"learner {name!r} needs {key} >= {least}: {text!r}")
+    return LearnerSpec(name, {key: value})
 
 
 class ConstantFrequency:
@@ -163,7 +181,16 @@ class HistogramPartition:
 
 
 class KnnFrequency:
-    """k-nearest-neighbor smoothed class frequencies."""
+    """k-nearest-neighbour smoothed class frequencies.
+
+    A row's class frequencies are the weighted label counts of its k nearest
+    training rows (all of them when there are fewer than k), plus the
+    Laplace ``alpha``.  ``predict_proba`` keeps the neighbour indices of the
+    rows it last answered.  ``relabel`` refits the same training rows and
+    weights with new labels and hands those indices on, so the copy answers
+    the same rows by recounting labels, with no search; other rows are
+    searched afresh.
+    """
 
     def __init__(self, n_classes: int, k: int = 50, alpha: float = LAPLACE_ALPHA):
         self.n_classes = n_classes
@@ -176,12 +203,28 @@ class KnnFrequency:
         self.labels_ = np.asarray(labels)
         self.w_ = np.asarray(w, dtype=float)
         self.k_ = min(self.k, X.shape[0])
+        self.last_query_ = (None, None)  # (rows, neighbour indices), set together
         return self
+
+    def relabel(self, X, labels, w):
+        """A copy fitted with ``labels`` on the training rows and weights of
+        this fit, which ``X`` and ``w`` must equal."""
+        labels = np.asarray(labels)
+        if not (labels.shape == self.labels_.shape
+                and np.array_equal(np.atleast_2d(np.asarray(X, dtype=float)), self.tree_.data)
+                and np.array_equal(np.asarray(w, dtype=float), self.w_)):
+            raise ValueError("relabel needs the rows and weights of the fit")
+        model = copy.copy(self)
+        model.labels_ = labels
+        return model
 
     def predict_proba(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        _, nbr = self.tree_.query(X, k=self.k_)
-        nbr = np.atleast_2d(nbr)
+        query, nbr = self.last_query_
+        if query is None or not np.array_equal(X, query):
+            _, nbr = self.tree_.query(X, k=self.k_)
+            nbr = nbr.reshape(X.shape[0], self.k_)  # k_ = 1 gives a flat result
+            self.last_query_ = (X.copy(), nbr)
         counts = np.zeros((X.shape[0], self.n_classes))
         lab = self.labels_[nbr]
         wgt = self.w_[nbr]
@@ -192,11 +235,16 @@ class KnnFrequency:
 
 
 class SoftmaxRegression:
-    """Multinomial logistic regression by monotone gradient ascent.
+    """Multinomial logistic regression by Newton's method.
 
-    The weighted log-likelihood is maximized with a backtracking step rule,
-    so it never decreases between iterations (asserted).  A small ridge term
-    keeps the problem strictly concave under separation.
+    Maximizes the weighted log-likelihood (weights rescaled to mean 1) minus
+    ``ridge / 2`` times the squared norm of the coefficients.  The ridge
+    term keeps the problem strictly concave under separation and when a
+    class is absent.  Each iteration takes the Newton step of this concave
+    objective and halves it until the objective does not decrease, so
+    ``history_`` never decreases (asserted).  Iteration stops after
+    ``max_iter`` steps, when no halving below 1e-12 of the step improves,
+    or when a step gains less than ``tol * (1 + |objective|)``.
     """
 
     def __init__(self, n_classes: int, max_iter: int = 300, tol: float = 1e-9,
@@ -225,6 +273,24 @@ class SoftmaxRegression:
         ll = float(np.sum(w * (np.sum(onehot * logits, axis=1) - logz)))
         return ll - 0.5 * self.ridge * float(np.sum(beta**2))
 
+    def _newton_step(self, phi, onehot, w, beta):
+        """Newton direction s at beta: the solution of -H s = g for the
+        objective's gradient g and Hessian H there."""
+        n, d = phi.shape
+        k = self.n_classes
+        p = self._proba(phi, beta)
+        grad = phi.T @ (w[:, None] * (onehot - p)) - self.ridge * beta
+        # -H[(a, c), (b, e)] = sum_i w_i phi_ia phi_ib (p_ic [c = e] - p_ic p_ie)
+        #                      + ridge [(a, c) = (b, e)]
+        q = (phi[:, :, None] * p[:, None, :]).reshape(n, d * k)
+        hess = -(q.T @ (w[:, None] * q)).reshape(d, k, d, k)
+        for c in range(k):
+            hess[:, c, :, c] += (phi * (w * p[:, c])[:, None]).T @ phi
+        hess = hess.reshape(d * k, d * k)
+        hess[np.diag_indices(d * k)] += self.ridge
+        step = np.linalg.lstsq(hess, grad.ravel(), rcond=None)[0]
+        return step.reshape(d, k)
+
     def fit(self, X, labels, w):
         phi = self._design(X)
         labels = np.asarray(labels)
@@ -233,13 +299,12 @@ class SoftmaxRegression:
         onehot = np.eye(self.n_classes)[labels]
         beta = np.zeros((phi.shape[1], self.n_classes))
         obj = self._objective(phi, onehot, w, beta)
-        step = 1.0 / max(1.0, float(np.mean(np.sum(phi**2, axis=1))))
         self.history_ = [obj]
         for _ in range(self.max_iter):
-            grad = phi.T @ (w[:, None] * (onehot - self._proba(phi, beta))) / len(w)
-            grad -= self.ridge * beta / len(w)
+            direction = self._newton_step(phi, onehot, w, beta)
+            step = 1.0
             while True:
-                cand = beta + step * grad
+                cand = beta + step * direction
                 new_obj = self._objective(phi, onehot, w, cand)
                 if new_obj >= obj or step < 1e-12:
                     break
@@ -249,7 +314,6 @@ class SoftmaxRegression:
             assert new_obj >= self.history_[-1]
             beta, gain, obj = cand, new_obj - obj, new_obj
             self.history_.append(obj)
-            step *= 1.2
             if gain < self.tol * (1.0 + abs(obj)):
                 break
         self.beta_ = beta

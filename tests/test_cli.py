@@ -178,6 +178,24 @@ class TestBoundsCommand:
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "invalid-config"
 
+    @pytest.mark.parametrize("flags", [
+        ["--learner-pi", "softmax:3"],
+        ["--learner-pi", "constant:7"],
+        ["--learner-lambda", "logistic:x"],
+        ["--learner-pi", "histogram:-1"],
+        ["--learner-pi", "histogram:2.5"],
+        ["--learner-pi", "knn:0"],
+        ["--learner-pi", "knn:-3"],
+        ["--learner-lambda", "knn:x"],
+    ])
+    def test_learner_arguments_checked_before_reading_input(self, tmp_path, capsys,
+                                                             flags):
+        rc = main(["bounds", str(tmp_path / "absent.csv"), *BOUNDS_ARGS, *flags])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid-config"
+        assert flags[1] in err["message"]
+
     @pytest.mark.parametrize("where", ["header", "before a bad cell"])
     def test_oversized_field_exits_2(self, tmp_path, capsys, where):
         big = '"' + "x" * 200_000 + '"'

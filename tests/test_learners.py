@@ -34,6 +34,14 @@ class TestSpecParsing:
         with pytest.raises(ValueError):
             parse_learner_spec("forest")
 
+    @pytest.mark.parametrize("text", [
+        "softmax:3", "constant:7", "logistic:x", "softmax:",
+        "histogram:-1", "histogram:2.5", "histogram:x",
+        "knn:0", "knn:-3", "knn:2.5", "knn:", "known", "known:half"])
+    def test_malformed_arguments_rejected(self, text):
+        with pytest.raises(ValueError, match=repr(text)):
+            parse_learner_spec(text)
+
     def test_known_requires_classifierless_use(self):
         with pytest.raises(ValueError):
             make_classifier(parse_learner_spec("known:0.5"), 2)
@@ -239,6 +247,49 @@ class TestKnnFrequency:
         p = KnnFrequency(2, k=50).fit(x, labels, np.ones(5)).predict_proba(x[:1])
         simplex_rows(p)
 
+    def test_single_neighbour_counts_each_row_apart(self):
+        x = np.array([[0.0], [1.0], [2.0]])
+        for k, train in ((1, slice(None)), (5, slice(0, 1))):
+            model = KnnFrequency(2, k=k, alpha=0.0).fit(
+                x[train], np.array([0, 1, 1])[train], np.ones(3)[train])
+            want = [[1, 0], [0, 1], [0, 1]] if k == 1 else [[1, 0]] * 3
+            np.testing.assert_array_equal(model.predict_proba(x), want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
+           k=st.integers(1, 70), n_classes=st.sampled_from([2, 4]),
+           grid=st.sampled_from([0, 2, 4]))
+    def test_property_relabel_matches_fresh_fit(self, seed, n, k, n_classes, grid):
+        # grid > 0 puts x on a coarse lattice: duplicate rows and distance
+        # ties.  k ranges past n, where every training row is a neighbour.
+        rng = np.random.default_rng(seed)
+        x = rng.random((n, 2))
+        query = np.vstack([x, rng.random((7, 2))])
+        if grid:
+            x, query = np.round(x * grid), np.round(query * grid)
+        w = rng.uniform(0.5, 2.0, n)
+        first, second = (rng.integers(0, n_classes, n) for _ in range(2))
+        model = KnnFrequency(n_classes, k=k).fit(x, first, w)
+        model.predict_proba(query)
+        relabelled = model.relabel(x, second, w)
+        got = relabelled.predict_proba(query)
+        assert relabelled.last_query_ is model.last_query_  # no search
+        fresh = KnnFrequency(n_classes, k=k).fit(x, second, w)
+        assert got.tobytes() == fresh.predict_proba(query).tobytes()
+        other = query[::-1] + 0.25
+        assert (relabelled.predict_proba(other).tobytes()
+                == fresh.predict_proba(other).tobytes())
+
+    def test_relabel_rejects_other_rows(self):
+        rng = np.random.default_rng(6)
+        x, w = rng.random((30, 2)), np.ones(30)
+        model = KnnFrequency(2, k=5).fit(x, np.zeros(30, int), w)
+        for rows, labels, weights in ((x[::-1], np.ones(30, int), w),
+                                      (x, np.ones(30, int), 2.0 * w),
+                                      (x, np.ones(31, int), w)):
+            with pytest.raises(ValueError, match="rows and weights"):
+                model.relabel(rows, labels, weights)
+
 
 class TestSoftmaxRegression:
     def test_monotone_objective(self):
@@ -264,6 +315,87 @@ class TestSoftmaxRegression:
         x = rng.random((200, 1))
         model = SoftmaxRegression(2).fit(x, np.zeros(200, int), np.ones(200))
         assert np.all(model.predict_proba(x)[:, 0] > 0.9)
+
+
+def reference_softmax_fit(model, X, labels, w):
+    """The former solver: backtracking gradient ascent on ``model``'s
+    objective.  Returns (beta, history)."""
+    phi = model._design(X)
+    w = np.asarray(w, dtype=float)
+    w = w / w.mean()
+    onehot = np.eye(model.n_classes)[labels]
+    beta = np.zeros((phi.shape[1], model.n_classes))
+    obj = model._objective(phi, onehot, w, beta)
+    step = 1.0 / max(1.0, float(np.mean(np.sum(phi**2, axis=1))))
+    history = [obj]
+    for _ in range(model.max_iter):
+        grad = phi.T @ (w[:, None] * (onehot - model._proba(phi, beta))) / len(w)
+        grad -= model.ridge * beta / len(w)
+        while True:
+            cand = beta + step * grad
+            new_obj = model._objective(phi, onehot, w, cand)
+            if new_obj >= obj or step < 1e-12:
+                break
+            step *= 0.5
+        if new_obj < obj:
+            break
+        beta, gain, obj = cand, new_obj - obj, new_obj
+        history.append(obj)
+        step *= 1.2
+        if gain < model.tol * (1.0 + abs(obj)):
+            break
+    return beta, history
+
+
+def penalised_gradient(model, X, labels, w):
+    """Gradient of the fitted objective at ``model.beta_``, per row."""
+    phi = model._design(X)
+    w = np.asarray(w, dtype=float)
+    w = w / w.mean()
+    resid = np.eye(model.n_classes)[labels] - model._proba(phi, model.beta_)
+    return (phi.T @ (w[:, None] * resid) - model.ridge * model.beta_) / len(w)
+
+
+def check_newton_fit(X, labels, w, n_classes):
+    model = SoftmaxRegression(n_classes).fit(X, labels, w)
+    hist = np.array(model.history_)
+    assert np.all(np.diff(hist) >= 0)
+    assert len(hist) - 1 < 25
+    assert np.max(np.abs(penalised_gradient(model, X, labels, w))) <= 1e-6
+    return model
+
+
+class TestSoftmaxNewton:
+    @pytest.mark.parametrize("n_classes", [2, 4])
+    @pytest.mark.parametrize("weights", ["unit", "uniform"])
+    def test_reaches_the_reference_optimum(self, n_classes, weights):
+        rng = np.random.default_rng(10 + n_classes)
+        n = 3000
+        x = rng.normal(size=(n, 3))
+        logits = x @ rng.normal(size=(3, n_classes))
+        labels = (logits + rng.gumbel(size=(n, n_classes))).argmax(axis=1)
+        w = np.ones(n) if weights == "unit" else rng.uniform(0.2, 3.0, n)
+        model = check_newton_fit(x, labels, w, n_classes)
+        _, ref_history = reference_softmax_fit(model, x, labels, w)
+        assert model.history_[-1] >= ref_history[-1]
+
+    def test_single_class(self):
+        x = np.random.default_rng(5).random((200, 1))
+        labels = np.zeros(200, int)
+        model = check_newton_fit(x, labels, np.ones(200), 2)
+        assert np.all(model.predict_proba(x)[:, 0] > 0.9)
+
+    def test_perfectly_separable(self):
+        x = np.random.default_rng(7).random((200, 1))
+        labels = (x[:, 0] > 0.5).astype(int)
+        model = check_newton_fit(x, labels, np.ones(200), 2)
+        assert np.all(np.isfinite(model.beta_))
+        # The ridge keeps beta finite, so rows at the boundary stay uncertain.
+        clear = np.abs(x[:, 0] - 0.5) > 0.05
+        np.testing.assert_array_equal(
+            model.predict_proba(x[clear]).argmax(axis=1), labels[clear])
+        _, ref_history = reference_softmax_fit(model, x, labels, np.ones(200))
+        assert model.history_[-1] >= ref_history[-1]
 
 
 class TestFactory:

@@ -6,6 +6,7 @@ means a caller stopped going through that name."""
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ivbounds.cli import main
@@ -42,3 +43,29 @@ def test_traced_bounds_run_counts_every_fit(spans, tmp_path, capsys):
                         ("crossfit.evaluate", 1), ("estimators.direct_bounds", 1),
                         ("estimators.psi_correction", 1), ("cli.emit", 1)):
         assert summary.get(f"{name}.calls", 0) == calls, name
+
+
+def test_traced_continuous_run_counts_every_fit(spans, tmp_path, capsys):
+    # Continuous mode fits the propensity once per fold, then refits both
+    # joint arms of every fold per replicate, and each arm answers its fold
+    # through knn.
+    k, m = 3, 4
+    d = gen_illustration(300, 0)
+    y = 2.0 * d.y + np.random.default_rng(0).random(d.n)
+    csv = tmp_path / "c.csv"
+    csv.write_text("x1,x2,z,a,y\n" + "".join(
+        f"{d.x[i, 0]},{d.x[i, 1]},{d.z[i]},{d.a[i]},{y[i]}\n" for i in range(d.n)))
+    tracer = spans.Tracer()
+    with tracer.request():
+        assert main(["bounds", str(csv), "--covariates", "x1,x2", "--instrument", "z",
+                     "--exposure", "a", "--outcome", "y", "--folds", str(k),
+                     "--method", "continuous", "--m", str(m),
+                     "--learner-pi", "knn:20", "--learner-lambda", "softmax"]) == 0
+    capsys.readouterr()
+    summary = tracer.summary()
+    for name, calls in (("crossfit.fit_propensity", k), ("learners.softmax.fit", k),
+                        ("crossfit.fit_joint", 2 * k * m),
+                        ("learners.knn.predict", 2 * k * m),
+                        ("continuous.augment", m)):
+        assert summary.get(f"{name}.calls", 0) == calls, name
+    assert summary["learners.softmax.iters"] > 0

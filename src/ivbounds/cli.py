@@ -169,7 +169,8 @@ def _cmd_bounds(args) -> int:
 
     if args.method == "continuous":
         # The folds and the propensity ignore the outcome, so only the first
-        # replicate fits them; later replicates refit the joint cells alone.
+        # replicate fits them; later replicates refit the joint cells alone,
+        # and knn arms answer their folds with the first replicate's neighbours.
         folded = None
 
         def factory(aug):
@@ -177,7 +178,7 @@ def _cmd_bounds(args) -> int:
             if folded is None:
                 folded = cross_fit(aug, args.folds, pi_spec, lam_spec,
                                    args.seed, args.eps)
-                return folded
+                return folded.keep_neighbours() if args.m > 1 else folded
             return folded.refit_joint(aug, pi_spec)
         est = continuous_bounds(data, factory, args.m, args.seed)
         interval = wald_interval(est, args.delta)

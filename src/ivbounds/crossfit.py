@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .data import Dataset
-from .learners import FitError, KnnFrequency, LearnerSpec, make_classifier
+from .learners import FitError, LearnerSpec, make_classifier
 
 __all__ = [
     "rng_stream",
@@ -129,8 +129,8 @@ def fit_joint(data: Dataset, z: int, learner: LearnerSpec,
     """Predictor x -> (n, 2, 2) cells P(Y=y, A=a | X=x, Z=z), indexed [y, a].
 
     ``previous`` is this arm's predictor fitted by the same learner on rows
-    whose x, z and w equal ``data``'s.  A knn learner then keeps its
-    neighbour search and recounts the new outcome's labels
+    whose x, z and w equal ``data``'s.  A knn learner then keeps its tree
+    and any neighbours it kept, and recounts the new outcome's labels
     (``KnnFrequency.relabel``, which checks the rows); every other learner
     is fitted afresh.
     """
@@ -141,8 +141,7 @@ def fit_joint(data: Dataset, z: int, learner: LearnerSpec,
         raise FitError(f"no observations in instrument arm z={z}")
     fit_args = (data.x[arm], (2 * data.y[arm].astype(int) + data.a[arm]).astype(int),
                 data.w[arm])
-    if (previous is not None and previous.learner == learner
-            and isinstance(previous.classifier, KnnFrequency)):
+    if learner.name == "knn" and previous is not None and previous.learner == learner:
         return JointCells(learner, previous.classifier.relabel(*fit_args))
     return JointCells(learner, make_classifier(learner, 4).fit(*fit_args))
 
@@ -180,13 +179,24 @@ class FoldedNuisances:
         The folds and the propensity predictors depend on (x, z, w) only, so
         they are shared; ``data`` may differ from the fitted rows in its
         outcome alone.  So each arm is refit from its current predictor,
-        which lets a knn learner keep the neighbours it found.
+        and a knn arm answers its fold with the neighbours it kept after
+        ``keep_neighbours``, with no search.
         """
         self._check_rows(data)
         joint = [_fit_arms(data.subset(np.flatnonzero(self.folds != k)), pi_learner, arms)
                  for k, arms in enumerate(self.joint)]
         return replace(self, joint=joint,
                        descriptor={**self.descriptor, "pi": pi_learner.name})
+
+    def keep_neighbours(self) -> "FoldedNuisances":
+        """Make each knn joint arm keep the neighbours of the fold it answers,
+        for the copies ``refit_joint`` makes; they cost n * k * 8 bytes per
+        arm, so only a caller that refits asks for them."""
+        for arms in self.joint:
+            for cells in arms:
+                if cells.learner.name == "knn":
+                    cells.classifier.keep_neighbours()
+        return self
 
     def evaluate(self, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
         """Out-of-fold nuisances on the fitted rows; ``data`` may differ from

@@ -64,10 +64,10 @@ def parse_learner_spec(text: str) -> LearnerSpec:
     try:
         value = kind(arg)
     except ValueError:
-        raise ValueError(f"learner {name!r} needs {'a number' if kind is float else 'an integer'}"
-                         f" {key}: {text!r}") from None
+        kind_name = "a number" if kind is float else "an integer"
+        raise ValueError(f"{key} of learner {name!r} must be {kind_name}: {text!r}") from None
     if least is not None and value < least:
-        raise ValueError(f"learner {name!r} needs {key} >= {least}: {text!r}")
+        raise ValueError(f"{key} of learner {name!r} must be >= {least}: {text!r}")
     return LearnerSpec(name, {key: value})
 
 
@@ -185,11 +185,11 @@ class KnnFrequency:
 
     A row's class frequencies are the weighted label counts of its k nearest
     training rows (all of them when there are fewer than k), plus the
-    Laplace ``alpha``.  ``predict_proba`` keeps the neighbour indices of the
-    rows it last answered.  ``relabel`` refits the same training rows and
-    weights with new labels and hands those indices on, so the copy answers
-    the same rows by recounting labels, with no search; other rows are
-    searched afresh.
+    Laplace ``alpha``.  After ``keep_neighbours``, ``predict_proba`` keeps
+    the neighbour indices of the rows it last answered (n * k * 8 bytes).
+    ``relabel`` refits the same training rows and weights with new labels
+    and hands those indices on, so the copy answers the same rows by
+    recounting labels, with no search; other rows are searched afresh.
     """
 
     def __init__(self, n_classes: int, k: int = 50, alpha: float = LAPLACE_ALPHA):
@@ -203,15 +203,21 @@ class KnnFrequency:
         self.labels_ = np.asarray(labels)
         self.w_ = np.asarray(w, dtype=float)
         self.k_ = min(self.k, X.shape[0])
+        self.keep_ = False
         self.last_query_ = (None, None)  # (rows, neighbour indices), set together
+        return self
+
+    def keep_neighbours(self):
+        """Keep the neighbour indices of the rows answered from now on."""
+        self.keep_ = True
         return self
 
     def relabel(self, X, labels, w):
         """A copy fitted with ``labels`` on the training rows and weights of
         this fit, which ``X`` and ``w`` must equal."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
         labels = np.asarray(labels)
-        if not (labels.shape == self.labels_.shape
-                and np.array_equal(np.atleast_2d(np.asarray(X, dtype=float)), self.tree_.data)
+        if not (labels.shape == self.labels_.shape and np.array_equal(X, self.tree_.data)
                 and np.array_equal(np.asarray(w, dtype=float), self.w_)):
             raise ValueError("relabel needs the rows and weights of the fit")
         model = copy.copy(self)
@@ -224,7 +230,8 @@ class KnnFrequency:
         if query is None or not np.array_equal(X, query):
             _, nbr = self.tree_.query(X, k=self.k_)
             nbr = nbr.reshape(X.shape[0], self.k_)  # k_ = 1 gives a flat result
-            self.last_query_ = (X.copy(), nbr)
+            if self.keep_:
+                self.last_query_ = (X.copy(), nbr)
         counts = np.zeros((X.shape[0], self.n_classes))
         lab = self.labels_[nbr]
         wgt = self.w_[nbr]
@@ -288,8 +295,7 @@ class SoftmaxRegression:
             hess[:, c, :, c] += (phi * (w * p[:, c])[:, None]).T @ phi
         hess = hess.reshape(d * k, d * k)
         hess[np.diag_indices(d * k)] += self.ridge
-        step = np.linalg.lstsq(hess, grad.ravel(), rcond=None)[0]
-        return step.reshape(d, k)
+        return np.linalg.lstsq(hess, grad.ravel(), rcond=None)[0].reshape(d, k)
 
     def fit(self, X, labels, w):
         phi = self._design(X)

@@ -199,6 +199,27 @@ class TestCrossFit:
             cross_fit(toy_data(8), 5, parse_learner_spec("constant"),
                       parse_learner_spec("constant"), seed=0)
 
+    @pytest.mark.parametrize("keep", [True, False])
+    def test_knn_refit_equals_fresh_fit(self, keep):
+        # A refit recounts the new outcome over the neighbours replicate 1
+        # found, if it was asked to keep them, and otherwise searches again.
+        d = toy_data(300)
+        spec, known = parse_learner_spec("knn:20"), parse_learner_spec("known:0.5")
+        nuis = cross_fit(d, 3, spec, known, seed=5)
+        if keep:
+            nuis.keep_neighbours()
+        nuis.evaluate(d)
+        flipped = d.replace_outcome(1.0 - d.y, "binary")
+        refit = nuis.refit_joint(flipped, spec)
+        got = refit.evaluate(flipped)[1]
+        want = cross_fit(flipped, 3, spec, known, seed=5).evaluate(flipped)[1]
+        assert got.tobytes() == want.tobytes()
+        for old, new in zip(nuis.joint, refit.joint):
+            for a, b in zip(old, new):
+                kept = a.classifier.last_query_
+                assert (kept[0] is not None) == keep
+                assert b.classifier.last_query_ is kept or not keep
+
     @pytest.mark.parametrize("column", ["x", "z", "w"])
     def test_evaluate_rejects_other_rows(self, column):
         d = toy_data(300)

@@ -269,13 +269,14 @@ class TestKnnFrequency:
             x, query = np.round(x * grid), np.round(query * grid)
         w = rng.uniform(0.5, 2.0, n)
         first, second = (rng.integers(0, n_classes, n) for _ in range(2))
-        model = KnnFrequency(n_classes, k=k).fit(x, first, w)
+        model = KnnFrequency(n_classes, k=k).fit(x, first, w).keep_neighbours()
         model.predict_proba(query)
         relabelled = model.relabel(x, second, w)
         got = relabelled.predict_proba(query)
         assert relabelled.last_query_ is model.last_query_  # no search
         fresh = KnnFrequency(n_classes, k=k).fit(x, second, w)
         assert got.tobytes() == fresh.predict_proba(query).tobytes()
+        assert fresh.last_query_[0] is None  # kept only after keep_neighbours
         other = query[::-1] + 0.25
         assert (relabelled.predict_proba(other).tobytes()
                 == fresh.predict_proba(other).tobytes())

@@ -208,7 +208,8 @@ class KnnFrequency:
         return self
 
     def keep_neighbours(self):
-        """Keep the neighbour indices of the rows answered from now on."""
+        """From now on keep the neighbour indices of the rows last answered,
+        here and in the copies ``relabel`` makes."""
         self.keep_ = True
         return self
 

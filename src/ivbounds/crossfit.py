@@ -164,6 +164,9 @@ class FoldedNuisances:
     joint: list[tuple[JointCells, JointCells]]  # per fold: (z=0, z=1) cells
     descriptor: dict
     fitted_on: Dataset = field(repr=False)
+    # Out-of-fold lam1, set by the first ``evaluate``; it depends on the rows'
+    # (x, z, w) alone, so the copies ``refit_joint`` makes share it.
+    lam1: np.ndarray | None = field(default=None, repr=False)
 
     def _check_rows(self, data: Dataset) -> None:
         """Raise unless ``data`` has the fitted rows' x, z and w; y may differ."""
@@ -176,8 +179,9 @@ class FoldedNuisances:
     def refit_joint(self, data: Dataset, pi_learner: LearnerSpec) -> "FoldedNuisances":
         """Copy with every fold's joint cells refit on ``data``.
 
-        The folds and the propensity predictors depend on (x, z, w) only, so
-        they are shared; ``data`` may differ from the fitted rows in its
+        The folds, the propensity predictors and any out-of-fold propensity
+        already evaluated depend on (x, z, w) only, so they are shared;
+        ``data`` may differ from the fitted rows in its
         outcome alone.  So each arm is refit from its current predictor,
         and a knn arm answers its fold with the neighbours it kept after
         ``keep_neighbours``, with no search.
@@ -200,16 +204,23 @@ class FoldedNuisances:
 
     def evaluate(self, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
         """Out-of-fold nuisances on the fitted rows; ``data`` may differ from
-        them in its outcome alone."""
+        them in its outcome alone.  The propensity is predicted on the first
+        call only; later calls, and the copies ``refit_joint`` makes, return
+        that array, which is read-only."""
         self._check_rows(data)
-        lam1 = np.empty(data.n)
+        fresh = self.lam1 is None
+        lam1 = np.empty(data.n) if fresh else self.lam1
         pi = np.empty((data.n, 2, 2, 2))
         for k, (lam_k, arms) in enumerate(zip(self.propensity, self.joint)):
             idx = np.flatnonzero(self.folds == k)
             x = data.x[idx]
-            lam1[idx] = lam_k(x)
+            if fresh:
+                lam1[idx] = lam_k(x)
             for z, cells in enumerate(arms):
                 pi[idx, :, :, z] = cells(x)
+        if fresh:
+            lam1.flags.writeable = False
+            self.lam1 = lam1
         return lam1, pi
 
 

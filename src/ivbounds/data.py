@@ -52,6 +52,10 @@ class Dataset:
             raise ValueError("column lengths disagree")
         if not np.all(np.isfinite(self.x)):
             raise ValueError("non-finite covariates")
+        if not np.all(np.isfinite(self.y)):
+            raise ValueError("non-finite outcome")
+        if not np.all(np.isfinite(self.w)):
+            raise ValueError("non-finite weights")
         if not np.all(np.isin(self.z, [0, 1])):
             raise ValueError("instrument must be binary")
         if not np.all(np.isin(self.a, [0, 1])):

@@ -93,12 +93,24 @@ class HistogramPartition:
 
     Splits greedily maximize the weighted multinomial log-likelihood over a
     quantile grid of candidate thresholds, subject to a depth cap and a
-    minimum cell count.  Each node scores every threshold of a feature in
-    one pass: rows are binned into the sorted unique thresholds, class
-    counts per bin are accumulated from each end, and the gains are
-    evaluated together.  Within a feature the first threshold of maximal
+    minimum cell count.  Within a feature the first threshold of maximal
     gain wins; a later feature wins only with a strictly greater gain, and
     no split is made unless the gain exceeds 1e-12.
+
+    ``fit`` argsorts each column once; a node holds one row order per
+    feature, and each child keeps its rows of the parent's orders, which
+    stay sorted (presorted CART: Breiman et al. 1984; SLIQ, Mehta et al.
+    1996).  A node's thresholds are read from its sorted columns by NumPy's
+    ``linear`` quantile rule (virtual index ``(m - 1) q``, then NumPy's
+    ``_lerp``), so they equal ``np.quantile`` bitwise.  A binary search of
+    each sorted column gives the rows left of every threshold; each row's
+    bin goes back to row order, and the class counts per bin are summed in
+    row order, as a fit on the unsorted rows sums them.  So the tree depends
+    on the sorted values alone, and the order ``np.argsort`` leaves ties in
+    does not matter.  All features of a node are scored in one pass over a
+    ``(d, m)`` stack of orders.  Repeated thresholds are kept: they only add
+    empty bins, which change no count, and the first of equal gains wins.
+    ``fit`` rejects non-finite covariates or weights with ``ValueError``.
     """
 
     def __init__(self, n_classes: int, max_depth: int = 4, min_cell: int = 25,
@@ -121,47 +133,94 @@ class HistogramPartition:
         ratio = np.divide(counts, total, out=np.ones(counts.shape), where=counts > 0)
         return np.sum(counts * np.log(ratio), axis=-1)
 
-    def _split(self, X, labels, w):
-        """(feature, threshold) of the best split, or None."""
-        k = self.n_classes
-        n = len(labels)
-        base = self._loglik(np.bincount(labels, weights=w, minlength=k))
-        levels = np.linspace(0, 1, self.n_thresholds + 2)[1:-1]
-        best_gain, best = 1e-12, None
-        for j in range(X.shape[1]):
-            col = X[:, j]
-            thr = np.unique(np.quantile(col, levels))
-            # A row lies left of thr[i] exactly when its bin is <= i.
-            bins = np.searchsorted(thr, col)
-            cells = np.bincount(bins * k + labels, weights=w,
-                                minlength=(len(thr) + 1) * k).reshape(-1, k)
-            left = np.cumsum(cells, axis=0)[:-1]
-            right = np.cumsum(cells[::-1], axis=0)[-2::-1]
-            n_left = np.cumsum(np.bincount(bins, minlength=len(thr) + 1))[:-1]
-            gain = self._loglik(left) + self._loglik(right) - base
-            gain[(n_left < self.min_cell) | (n - n_left < self.min_cell)] = -np.inf
-            i = int(np.argmax(gain))
-            if gain[i] > best_gain:
-                best_gain, best = gain[i], (j, thr[i])
-        return best
-
-    def _build(self, X, labels, w, depth):
-        node = self._leaf(labels, w)
-        if depth >= self.max_depth or len(labels) < 2 * self.min_cell:
-            return node
-        split = self._split(X, labels, w)
-        if split is None:
-            return node
-        j, thr = split
-        left = X[:, j] <= thr
-        node.update(feature=j, threshold=thr,
-                    left=self._build(X[left], labels[left], w[left], depth + 1),
-                    right=self._build(X[~left], labels[~left], w[~left], depth + 1))
-        return node
+    @staticmethod
+    def _quantiles(cols, levels):
+        """``np.quantile(c, levels)`` of each sorted row ``c`` of ``cols``,
+        bitwise: NumPy's ``linear`` rule reads virtual index ``(m - 1) q``
+        between its neighbouring order statistics (the last one from index
+        m - 1 on) and interpolates as NumPy's ``_lerp`` does."""
+        m = cols.shape[1]
+        pos = (m - 1) * levels
+        above = pos >= m - 1
+        lo = np.where(above, -1.0, np.floor(pos))
+        gamma = pos - lo
+        lo = lo.astype(np.intp)
+        a, b = cols[:, lo], cols[:, np.where(above, -1, lo + 1)]
+        diff = b - a
+        out = a + diff * gamma
+        np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+        return out
 
     def fit(self, X, labels, w):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        self.tree_ = self._build(X, np.asarray(labels), np.asarray(w, dtype=float), 0)
+        labels = np.asarray(labels)
+        w = np.asarray(w, dtype=float)
+        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(w))):
+            raise ValueError("histogram fit needs finite covariates and weights")
+        n, d = X.shape
+        k, n_bins = self.n_classes, self.n_thresholds + 1
+        levels = np.linspace(0, 1, self.n_thresholds + 2)[1:-1]
+        # Cell index offset of (feature j, bin b): (j * n_bins + b) * k.
+        offsets = np.arange(d * n_bins) * k
+        Xt = np.ascontiguousarray(X.T)
+        cell_of = np.empty((d, n), dtype=np.intp)  # each row's offset, per feature
+        is_left = np.empty(n, dtype=bool)
+        self.tree_ = {}
+        # (node, its rows in row order, its rows sorted by each feature or
+        # None at the depth cap, depth)
+        stack = [(self.tree_, np.arange(n), np.argsort(Xt, axis=1), 0)]
+        while stack:
+            node, rows, order, depth = stack.pop()
+            lab, wt = labels.take(rows), w.take(rows)
+            node.update(self._leaf(lab, wt))
+            m = len(rows)
+            if depth >= self.max_depth or m < 2 * self.min_cell or d == 0:
+                continue
+            col = np.empty((d, m))
+            for j in range(d):
+                Xt[j].take(order[j], out=col[j])
+            thr = self._quantiles(col, levels)
+            thr.sort(axis=1)
+            # bounds[j, i + 1] rows have feature j <= thr[j, i]; the rows
+            # with feature j in (thr[j, i - 1], thr[j, i]] fall in bin i.
+            bounds = np.empty((d, n_bins + 1), dtype=np.intp)
+            bounds[:, 0], bounds[:, -1] = 0, m
+            for j in range(d):
+                bounds[j, 1:-1] = col[j].searchsorted(thr[j], side="right")
+            edges = bounds[:, 1:-1]
+            sorted_cells = offsets.repeat((bounds[:, 1:] - bounds[:, :-1]).ravel())
+            for j in range(d):
+                cell_of[j, order[j]] = sorted_cells[j * m:(j + 1) * m]
+            cell = cell_of.take(rows, axis=1)
+            cell += lab
+            counts = np.bincount(cell.ravel(), weights=wt[None].repeat(d, axis=0).ravel(),
+                                 minlength=d * n_bins * k).reshape(d, n_bins, k)
+            # Counts left of each threshold, and right of each in reverse.
+            sides = np.empty((2, d, n_bins - 1, k))
+            np.cumsum(counts[:, :-1], axis=1, out=sides[0])
+            np.cumsum(counts[:, :0:-1], axis=1, out=sides[1])
+            left, right = self._loglik(sides)
+            base = self._loglik(np.bincount(lab, weights=wt, minlength=k))
+            gain = left + right[:, ::-1] - base
+            gain[(edges < self.min_cell) | (m - edges < self.min_cell)] = -np.inf
+            best = gain.argmax(axis=1)
+            j = int(np.argmax(gain[np.arange(d), best]))
+            i = best[j]
+            if not gain[j, i] > 1e-12:
+                continue
+            node.update(feature=j, threshold=thr[j, i], left={}, right={})
+            is_left[order[j, :edges[j, i]]] = True
+            is_left[order[j, edges[j, i]:]] = False
+            go = is_left.take(rows)
+            left_rows, right_rows = np.compress(go, rows), np.compress(~go, rows)
+            if depth + 1 < self.max_depth:
+                go = is_left.take(order).ravel()
+                left_order = np.compress(go, order).reshape(d, -1)
+                right_order = np.compress(~go, order).reshape(d, -1)
+            else:  # children at the depth cap are leaves and need no orders
+                left_order = right_order = None
+            stack.append((node["right"], right_rows, right_order, depth + 1))
+            stack.append((node["left"], left_rows, left_order, depth + 1))
         return self
 
     def predict_proba(self, X):

@@ -8,7 +8,7 @@ from ivbounds.cli import main
 from ivbounds.continuous import continuous_bounds
 from ivbounds.data import ColumnMapping, load_csv
 from ivbounds.estimators import wald_interval
-from ivbounds.learners import parse_learner_spec
+from ivbounds.learners import KnnFrequency, parse_learner_spec
 from ivbounds.simulation import gen_illustration
 
 
@@ -276,6 +276,23 @@ class TestContinuousReuse:
             other.w[0] = 2.0
         with pytest.raises(ValueError, match="fitted on"):
             nuis.refit_joint(other, spec)
+
+    def test_propensity_predicted_once_per_fold(self, tmp_path, capsys, monkeypatch):
+        # The out-of-fold propensity ignores the outcome, so the first
+        # replicate predicts it and later replicates reuse it.
+        calls = {2: 0, 4: 0}
+        predict = KnnFrequency.predict_proba
+
+        def counted(model, x):
+            calls[model.n_classes] += 1
+            return predict(model, x)
+        monkeypatch.setattr(KnnFrequency, "predict_proba", counted)
+        rc, _ = run_json(capsys, [
+            "bounds", str(write_continuous_csv(tmp_path / "c.csv")), *BOUNDS_ARGS,
+            "--method", "continuous", "--m", str(self.M), "--folds", str(self.K),
+            "--learner-pi", "knn:20", "--learner-lambda", "knn:20"])
+        assert rc == 0
+        assert calls == {2: self.K, 4: 2 * self.K * self.M}
 
 
 class TestOtherCommands:

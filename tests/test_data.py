@@ -55,6 +55,20 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(**base)
 
+    @pytest.mark.parametrize("kind,kwargs", [
+        ("binary", dict(w=[1.0, np.nan, 1.0, 1.0])),
+        ("binary", dict(w=[1.0, 1.0, np.inf, 1.0])),
+        ("bounded-continuous", dict(y=[0.2, np.nan, 0.4, 0.9])),
+        ("bounded-continuous", dict(y=[0.2, -np.inf, 0.4, 0.9])),
+    ])
+    def test_non_finite_weights_and_outcomes_rejected(self, kind, kwargs):
+        # NaN passes the positivity and range checks, so it needs its own.
+        base = dict(x=np.zeros((4, 1)), z=[0, 1, 0, 1], a=[0, 1, 1, 0],
+                    y=[0.0, 1.0, 0.0, 1.0], outcome_kind=kind)
+        base.update(kwargs)
+        with pytest.raises(ValueError, match="non-finite"):
+            Dataset(**base)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Dataset(x=np.zeros((3, 1)), z=[0, 1], a=[0, 1], y=[0, 1])

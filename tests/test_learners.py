@@ -232,6 +232,72 @@ class TestSplitSearchMatchesBruteForce:
         check_split_search(X, labels, make_weights(rng, weights, n), k, min_cell)
 
 
+class TestPresortedSplitSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.sampled_from([-3.5, -1.0, -1e-9, 0.0, 0.25, 2.0, 7e8]),
+                           min_size=1, max_size=40)
+           | st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
+           levels=st.sampled_from([1, 2, 16, 40]) | st.lists(
+               st.floats(0.0, 1.0), min_size=1, max_size=8).map(sorted))
+    def test_property_sorted_quantiles_equal_numpy(self, values, levels):
+        # Adding 0.0 turns -0.0 into 0.0: the two compare equal, so which of
+        # them a sort or a partition puts first is arbitrary.
+        col = np.array(values) + 0.0
+        q = (np.linspace(0, 1, levels + 2)[1:-1] if isinstance(levels, int)
+             else np.array(levels))
+        got = HistogramPartition._quantiles(np.sort(col)[None], q)[0]
+        assert got.tobytes() == np.quantile(col, q).tobytes()
+
+    @pytest.mark.parametrize("value", [0.0, -2.5])
+    def test_constant_and_tiny_columns(self, value):
+        for n in (1, 2, 3, 50):
+            col = np.full(n, value)
+            q = np.linspace(0, 1, 18)[1:-1]
+            got = HistogramPartition._quantiles(col[None], q)[0]
+            assert got.tobytes() == np.quantile(col, q).tobytes()
+
+    def test_large_weighted_case(self):
+        rng = np.random.default_rng(20_000)
+        n = 20_000
+        X = np.column_stack([rng.integers(0, 2, n), rng.random(n),
+                             np.round(rng.standard_normal(n), 2)])
+        p1 = 1.0 / (1.0 + np.exp(-(X[:, 0] + 2.0 * X[:, 1] - X[:, 2] - 1.0)))
+        labels = 2 * (rng.random(n) < p1) + rng.integers(0, 2, n)
+        tree = check_split_search(X, labels, rng.exponential(size=n), 4)
+        assert "feature" in tree["left"] and "feature" in tree["right"]
+
+    def test_fitted_model_keeps_no_row_sized_array(self):
+        rng = np.random.default_rng(8)
+        n = 3000
+        X = rng.random((n, 3))
+        labels = (rng.random(n) < X[:, 0]).astype(int)
+        model = HistogramPartition(2).fit(X, labels, np.ones(n))
+        assert set(vars(model)) == {"n_classes", "max_depth", "min_cell",
+                                    "n_thresholds", "alpha", "tree_"}
+        stack = [model.tree_]
+        while stack:
+            node = stack.pop()
+            assert node["proba"].shape == (2,)
+            stack.extend(node[side] for side in ("left", "right") if side in node)
+
+    @pytest.mark.parametrize("where", ["X", "w"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, where, bad):
+        rng = np.random.default_rng(9)
+        X, w = rng.random((100, 2)), np.ones(100)
+        if where == "X":
+            X[7, 1] = bad
+        else:
+            w[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            HistogramPartition(2).fit(X, rng.integers(0, 2, 100), w)
+
+    def test_no_covariates_is_one_leaf(self):
+        model = HistogramPartition(2, min_cell=1).fit(
+            np.zeros((60, 0)), np.arange(60) % 2, np.ones(60))
+        assert set(model.tree_) == {"proba"}
+
+
 class TestKnnFrequency:
     def test_local_frequencies(self):
         x = np.concatenate([np.zeros(50), np.ones(50)])[:, None]

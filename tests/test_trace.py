@@ -43,6 +43,9 @@ def test_traced_bounds_run_counts_every_fit(spans, tmp_path, capsys):
                         ("crossfit.evaluate", 1), ("estimators.direct_bounds", 1),
                         ("estimators.psi_correction", 1), ("cli.emit", 1)):
         assert summary.get(f"{name}.calls", 0) == calls, name
+    # Histogram learners by default: one propensity and two arm fits per fold.
+    assert summary.get("learners.histogram.fit.calls", 0) == 9
+    assert summary.get("learners.histogram.leaves", 0) > 0
 
 
 def test_traced_continuous_run_counts_every_fit(spans, tmp_path, capsys):

@@ -168,9 +168,9 @@ def _cmd_bounds(args) -> int:
     data = load_csv(args.input, mapping, outcome_kind)
 
     if args.method == "continuous":
-        # The folds and the propensity ignore the outcome, so only the first
-        # replicate fits them; later replicates refit the joint cells alone,
-        # and knn arms answer their folds with the first replicate's neighbours.
+        # The folds and the out-of-fold propensity ignore the outcome, so only
+        # the first replicate cross-fits; later ones refit the joint cells
+        # alone, and knn arms answer their folds with its neighbours.
         folded = None
 
         def factory(aug):
@@ -179,7 +179,7 @@ def _cmd_bounds(args) -> int:
                 folded = cross_fit(aug, args.folds, pi_spec, lam_spec,
                                    args.seed, args.eps)
                 return folded.keep_neighbours() if args.m > 1 else folded
-            return folded.refit_joint(aug, pi_spec)
+            return folded.refit_joint(aug)
         est = continuous_bounds(data, factory, args.m, args.seed)
         interval = wald_interval(est, args.delta)
         diagnostics = {"outcome_scale": est.extra["scale"]}

@@ -102,8 +102,8 @@ def continuous_bounds(data: Dataset, nuisance_factory, m: int, seed: int,
 
     ``nuisance_factory(aug)`` must return an evaluator (with an
     ``evaluate(dataset)`` method) for the pseudo-outcome dataset ``aug``;
-    the joint cells are refit per replicate; the CLI reuses the per-fold
-    propensity.
+    the CLI cross-fits on the first replicate only and refits the joint
+    cells on later ones (``FoldedNuisances.refit_joint``).
     Point estimates and per-row influence values are averaged across
     replicates before the variance is formed, so the reported variance
     reflects the dichotomization-noise reduction from larger m.

@@ -5,9 +5,9 @@ with ``lam1[i] = P(Z=1 | x_i)`` and ``pi[i, y, a, z] = P(Y=y, A=a | x_i, Z=z)``.
 Fitted nuisances are plain predictors: ``fit_propensity`` returns
 ``x -> lam1`` truncated into [eps, 1-eps] and ``fit_joint`` returns
 ``x -> (n, 2, 2)`` cells of one instrument arm (a ``JointCells``, which
-keeps its classifier for a later refit).  ``FoldedNuisances`` holds,
-per fold, the predictors fitted without that fold and evaluates each row
-out of fold.
+keeps its learner for a later refit).  ``cross_fit`` fits both per fold
+and returns a ``FoldedNuisances``: the out-of-fold lam1 and each fold's
+joint cells.
 
 Randomness uses the Philox counter-based generator.  Streams are split by
 seeding ``SeedSequence`` with an explicit path of integers (master seed,
@@ -146,27 +146,16 @@ def fit_joint(data: Dataset, z: int, learner: LearnerSpec,
     return JointCells(learner, make_classifier(learner, 4).fit(*fit_args))
 
 
-def _fit_arms(train: Dataset, learner: LearnerSpec,
-              previous=(None, None)) -> tuple[JointCells, JointCells]:
-    """Joint-cell predictors for the z=0 and z=1 arms of one training set,
-    each refit from ``previous`` when given (see ``fit_joint``)."""
-    return (fit_joint(train, 0, learner, previous[0]),
-            fit_joint(train, 1, learner, previous[1]))
-
-
 @dataclass
 class FoldedNuisances:
-    """Per-fold predictors, each fitted on its fold's complement, with
-    out-of-fold evaluation."""
+    """Per-fold joint-cell predictors, each fitted on its fold's complement,
+    and the out-of-fold propensity ``cross_fit`` predicted."""
 
     folds: np.ndarray                           # (n,) fold index per row, 0..K-1
-    propensity: list[Predictor]                 # per fold: x -> lam1
+    lam1: np.ndarray = field(repr=False)        # (n,) out-of-fold lam1, read-only
     joint: list[tuple[JointCells, JointCells]]  # per fold: (z=0, z=1) cells
     descriptor: dict
     fitted_on: Dataset = field(repr=False)
-    # Out-of-fold lam1, set by the first ``evaluate``; it depends on the rows'
-    # (x, z, w) alone, so the copies ``refit_joint`` makes share it.
-    lam1: np.ndarray | None = field(default=None, repr=False)
 
     def _check_rows(self, data: Dataset) -> None:
         """Raise unless ``data`` has the fitted rows' x, z and w; y may differ."""
@@ -176,21 +165,19 @@ class FoldedNuisances:
                 ((data.x, ref.x), (data.z, ref.z), (data.w, ref.w))):
             raise ValueError("dataset differs from the rows the folds were fitted on")
 
-    def refit_joint(self, data: Dataset, pi_learner: LearnerSpec) -> "FoldedNuisances":
-        """Copy with every fold's joint cells refit on ``data``.
-
-        The folds, the propensity predictors and any out-of-fold propensity
-        already evaluated depend on (x, z, w) only, so they are shared;
-        ``data`` may differ from the fitted rows in its
-        outcome alone.  So each arm is refit from its current predictor,
-        and a knn arm answers its fold with the neighbours it kept after
-        ``keep_neighbours``, with no search.
-        """
+    def refit_joint(self, data: Dataset) -> "FoldedNuisances":
+        """Copy with every fold's joint cells refit on ``data``, which may
+        differ from the fitted rows in its outcome alone; the folds and
+        ``lam1`` are shared.  Each arm refits by its own learner from its
+        current cells (see ``fit_joint``), so a knn arm reuses the neighbours
+        it kept after ``keep_neighbours``, with no search."""
         self._check_rows(data)
-        joint = [_fit_arms(data.subset(np.flatnonzero(self.folds != k)), pi_learner, arms)
-                 for k, arms in enumerate(self.joint)]
-        return replace(self, joint=joint,
-                       descriptor={**self.descriptor, "pi": pi_learner.name})
+        joint = []
+        for k, arms in enumerate(self.joint):
+            train = data.subset(np.flatnonzero(self.folds != k))
+            joint.append(tuple(fit_joint(train, z, cells.learner, cells)
+                               for z, cells in enumerate(arms)))
+        return replace(self, joint=joint)
 
     def keep_neighbours(self) -> "FoldedNuisances":
         """Make each knn joint arm keep the neighbours of the fold it answers,
@@ -204,24 +191,15 @@ class FoldedNuisances:
 
     def evaluate(self, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
         """Out-of-fold nuisances on the fitted rows; ``data`` may differ from
-        them in its outcome alone.  The propensity is predicted on the first
-        call only; later calls, and the copies ``refit_joint`` makes, return
-        that array, which is read-only."""
+        them in its outcome alone.  The propensity is ``lam1``, read-only."""
         self._check_rows(data)
-        fresh = self.lam1 is None
-        lam1 = np.empty(data.n) if fresh else self.lam1
         pi = np.empty((data.n, 2, 2, 2))
-        for k, (lam_k, arms) in enumerate(zip(self.propensity, self.joint)):
+        for k, arms in enumerate(self.joint):
             idx = np.flatnonzero(self.folds == k)
             x = data.x[idx]
-            if fresh:
-                lam1[idx] = lam_k(x)
             for z, cells in enumerate(arms):
                 pi[idx, :, :, z] = cells(x)
-        if fresh:
-            lam1.flags.writeable = False
-            self.lam1 = lam1
-        return lam1, pi
+        return self.lam1, pi
 
 
 def fold_assignment(u: np.ndarray, n_folds: int) -> np.ndarray:
@@ -239,19 +217,22 @@ def fold_assignment(u: np.ndarray, n_folds: int) -> np.ndarray:
 def cross_fit(data: Dataset, n_folds: int, pi_learner: LearnerSpec,
               lambda_learner: LearnerSpec, seed: int,
               eps: float = DEFAULT_EPS) -> FoldedNuisances:
-    """Fit per-fold predictors on each fold's complement."""
+    """Fit per-fold predictors on each fold's complement, and predict the
+    propensity of each fold's rows from its fit."""
     check_cross_fit_settings(n_folds, lambda_learner, eps)
     if data.n < 2 * n_folds:
         raise ValueError("need n >= 2K observations")
     folds = fold_assignment(rng_stream(seed, 0).random(data.n), n_folds)
-    propensity, joint = [], []
+    lam1, joint = np.empty(data.n), []
     for k in range(n_folds):
         train = data.subset(np.flatnonzero(folds != k))
         if len(np.unique(train.z)) < 2:
             raise FitError(f"fold {k}: training complement lacks an instrument arm")
-        propensity.append(fit_propensity(train, lambda_learner, eps))
-        joint.append(_fit_arms(train, pi_learner))
-    return FoldedNuisances(folds, propensity, joint,
+        idx = np.flatnonzero(folds == k)
+        lam1[idx] = fit_propensity(train, lambda_learner, eps)(data.x[idx])
+        joint.append((fit_joint(train, 0, pi_learner), fit_joint(train, 1, pi_learner)))
+    lam1.flags.writeable = False
+    return FoldedNuisances(folds, lam1, joint,
                            {"pi": pi_learner.name, "lambda": lambda_learner.name,
                             "folds": n_folds, "eps": eps}, data)
 

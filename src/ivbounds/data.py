@@ -41,8 +41,7 @@ class Dataset:
         self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
         if self.x.shape[0] == 1 and len(np.asarray(self.z)) != 1:
             self.x = self.x.T
-        self.z = np.asarray(self.z, dtype=int)
-        self.a = np.asarray(self.a, dtype=int)
+        self.z, self.a = np.asarray(self.z), np.asarray(self.a)
         self.y = np.asarray(self.y, dtype=float)
         n = len(self.z)
         if self.w is None:
@@ -56,10 +55,12 @@ class Dataset:
             raise ValueError("non-finite outcome")
         if not np.all(np.isfinite(self.w)):
             raise ValueError("non-finite weights")
-        if not np.all(np.isin(self.z, [0, 1])):
+        # Checked before the cast to int, which would truncate 0.7 to 0.
+        if not np.all((self.z == 0) | (self.z == 1)):
             raise ValueError("instrument must be binary")
-        if not np.all(np.isin(self.a, [0, 1])):
+        if not np.all((self.a == 0) | (self.a == 1)):
             raise ValueError("exposure must be binary")
+        self.z, self.a = self.z.astype(int, copy=False), self.a.astype(int, copy=False)
         if self.outcome_kind == "binary" and not np.all(np.isin(self.y, [0.0, 1.0])):
             raise ValueError("binary outcome kind requires y in {0, 1}")
         if np.any(self.w <= 0):

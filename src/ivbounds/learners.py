@@ -3,11 +3,13 @@
 All classifiers share the interface ``fit(X, labels, w)`` /
 ``predict_proba(X) -> (n, k)`` with rows on the k-simplex.  Frequency-based
 learners apply Laplace smoothing so no predicted cell is exactly 0 or 1.
+The ``constant`` learner is a ``HistogramPartition`` of depth 0.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +19,6 @@ __all__ = [
     "FitError",
     "LearnerSpec",
     "parse_learner_spec",
-    "ConstantFrequency",
     "HistogramPartition",
     "KnnFrequency",
     "SoftmaxRegression",
@@ -37,55 +38,6 @@ class LearnerSpec:
 
     name: str
     params: dict = field(default_factory=dict)
-
-
-# The argument a learner takes after ``name:``: (keyword, type, least value).
-_ARGUMENTS = {"known": ("value", float, None), "knn": ("k", int, 1),
-              "histogram": ("max_depth", int, 0),
-              "constant": None, "logistic": None, "softmax": None}
-
-
-def parse_learner_spec(text: str) -> LearnerSpec:
-    """Parse CLI-style specs such as ``known:0.5``, ``knn:50``, ``histogram``.
-
-    ``known:c`` needs a number, ``knn:k`` takes an integer k >= 1 and
-    ``histogram:d`` an integer depth d >= 0; the other learners take no
-    argument.  Any other spec raises ``ValueError``.
-    """
-    name, sep, arg = text.partition(":")
-    name = name.strip()
-    if name not in _ARGUMENTS:
-        raise ValueError(f"unknown learner spec: {text!r}")
-    if not sep and name != "known":
-        return LearnerSpec(name)
-    if _ARGUMENTS[name] is None:
-        raise ValueError(f"learner {name!r} takes no argument: {text!r}")
-    key, kind, least = _ARGUMENTS[name]
-    try:
-        value = kind(arg)
-    except ValueError:
-        kind_name = "a number" if kind is float else "an integer"
-        raise ValueError(f"{key} of learner {name!r} must be {kind_name}: {text!r}") from None
-    if least is not None and value < least:
-        raise ValueError(f"{key} of learner {name!r} must be >= {least}: {text!r}")
-    return LearnerSpec(name, {key: value})
-
-
-class ConstantFrequency:
-    """Pooled smoothed class frequencies, ignoring covariates."""
-
-    def __init__(self, n_classes: int, alpha: float = LAPLACE_ALPHA):
-        self.n_classes = n_classes
-        self.alpha = alpha
-
-    def fit(self, X, labels, w):
-        counts = np.bincount(labels, weights=w, minlength=self.n_classes)
-        smoothed = counts + self.alpha
-        self.proba_ = smoothed / smoothed.sum()
-        return self
-
-    def predict_proba(self, X):
-        return np.tile(self.proba_, (np.atleast_2d(X).shape[0], 1))
 
 
 class HistogramPartition:
@@ -110,7 +62,8 @@ class HistogramPartition:
     does not matter.  All features of a node are scored in one pass over a
     ``(d, m)`` stack of orders.  Repeated thresholds are kept: they only add
     empty bins, which change no count, and the first of equal gains wins.
-    ``fit`` rejects non-finite covariates or weights with ``ValueError``.
+    ``fit`` rejects non-finite covariates or weights with ``ValueError``,
+    and sorts nothing at depth 0 (the ``constant`` learner).
     """
 
     def __init__(self, n_classes: int, max_depth: int = 4, min_cell: int = 25,
@@ -168,7 +121,8 @@ class HistogramPartition:
         self.tree_ = {}
         # (node, its rows in row order, its rows sorted by each feature or
         # None at the depth cap, depth)
-        stack = [(self.tree_, np.arange(n), np.argsort(Xt, axis=1), 0)]
+        stack = [(self.tree_, np.arange(n),
+                  np.argsort(Xt, axis=1) if self.max_depth > 0 else None, 0)]
         while stack:
             node, rows, order, depth = stack.pop()
             lab, wt = labels.take(rows), w.take(rows)
@@ -389,13 +343,44 @@ class SoftmaxRegression:
         return self._proba(self._design(X), self.beta_)
 
 
+# name -> (classifier factory ``(n_classes, **params)``, None for ``known``;
+# the argument after ``name:`` as (keyword, type, least value), or None).
+_LEARNERS = {"known": (None, ("value", float, None)),
+             "constant": (functools.partial(HistogramPartition, max_depth=0), None),
+             "histogram": (HistogramPartition, ("max_depth", int, 0)),
+             "knn": (KnnFrequency, ("k", int, 1)),
+             "softmax": (SoftmaxRegression, None), "logistic": (SoftmaxRegression, None)}
+
+
+def parse_learner_spec(text: str) -> LearnerSpec:
+    """Parse CLI-style specs such as ``known:0.5``, ``knn:50``, ``histogram``.
+
+    ``known:c`` needs a number, ``knn:k`` takes an integer k >= 1 and
+    ``histogram:d`` an integer depth d >= 0; the other learners take no
+    argument.  Any other spec raises ``ValueError``.
+    """
+    name, sep, arg = text.partition(":")
+    name = name.strip()
+    if name not in _LEARNERS:
+        raise ValueError(f"unknown learner spec: {text!r}")
+    if not sep and name != "known":
+        return LearnerSpec(name)
+    argument = _LEARNERS[name][1]
+    if argument is None:
+        raise ValueError(f"learner {name!r} takes no argument: {text!r}")
+    key, kind, least = argument
+    try:
+        value = kind(arg)
+    except ValueError:
+        kind_name = "a number" if kind is float else "an integer"
+        raise ValueError(f"{key} of learner {name!r} must be {kind_name}: {text!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{key} of learner {name!r} must be >= {least}: {text!r}")
+    return LearnerSpec(name, {key: value})
+
+
 def make_classifier(spec: LearnerSpec, n_classes: int):
-    if spec.name == "constant":
-        return ConstantFrequency(n_classes, **spec.params)
-    if spec.name == "histogram":
-        return HistogramPartition(n_classes, **spec.params)
-    if spec.name == "knn":
-        return KnnFrequency(n_classes, **spec.params)
-    if spec.name in ("softmax", "logistic"):
-        return SoftmaxRegression(n_classes, **spec.params)
-    raise ValueError(f"no classifier for learner {spec.name!r}")
+    factory, _ = _LEARNERS.get(spec.name, (None, None))
+    if factory is None:
+        raise ValueError(f"no classifier for learner {spec.name!r}")
+    return factory(n_classes, **spec.params)

@@ -268,18 +268,18 @@ class TestContinuousReuse:
         spec = parse_learner_spec("histogram")
         nuis = crossfit.cross_fit(data, 3, spec, spec, seed=4)
         same_rows = data.replace_outcome(1.0 - data.y, "binary")
-        assert nuis.refit_joint(same_rows, spec).folds is nuis.folds
+        assert nuis.refit_joint(same_rows).folds is nuis.folds
         other = data.subset(np.arange(data.n))
         if column == "z":
             other.z[0] = 1 - other.z[0]
         else:
             other.w[0] = 2.0
         with pytest.raises(ValueError, match="fitted on"):
-            nuis.refit_joint(other, spec)
+            nuis.refit_joint(other)
 
     def test_propensity_predicted_once_per_fold(self, tmp_path, capsys, monkeypatch):
-        # The out-of-fold propensity ignores the outcome, so the first
-        # replicate predicts it and later replicates reuse it.
+        # The out-of-fold propensity ignores the outcome, so cross_fit
+        # predicts it once and later replicates reuse it.
         calls = {2: 0, 4: 0}
         predict = KnnFrequency.predict_proba
 

@@ -13,7 +13,7 @@ from ivbounds.crossfit import (
     rng_stream,
 )
 from ivbounds.data import Dataset
-from ivbounds.learners import FitError, parse_learner_spec
+from ivbounds.learners import FitError, KnnFrequency, parse_learner_spec
 from ivbounds.simulation import gen_margin, margin_truth
 
 
@@ -210,7 +210,7 @@ class TestCrossFit:
             nuis.keep_neighbours()
         nuis.evaluate(d)
         flipped = d.replace_outcome(1.0 - d.y, "binary")
-        refit = nuis.refit_joint(flipped, spec)
+        refit = nuis.refit_joint(flipped)
         got = refit.evaluate(flipped)[1]
         want = cross_fit(flipped, 3, spec, known, seed=5).evaluate(flipped)[1]
         assert got.tobytes() == want.tobytes()
@@ -219,6 +219,30 @@ class TestCrossFit:
                 kept = a.classifier.last_query_
                 assert (kept[0] is not None) == keep
                 assert b.classifier.last_query_ is kept or not keep
+
+    def test_propensity_predicted_once_by_cross_fit(self, monkeypatch):
+        # cross_fit predicts each fold's out-of-fold propensity right after
+        # fitting it; evaluate and the copies refit_joint makes reuse it.
+        calls = {2: 0, 4: 0}
+        predict = KnnFrequency.predict_proba
+
+        def counted(model, x):
+            calls[model.n_classes] += 1
+            return predict(model, x)
+        monkeypatch.setattr(KnnFrequency, "predict_proba", counted)
+        d = toy_data(300)
+        spec = parse_learner_spec("knn:20")
+        nuis = cross_fit(d, 3, spec, spec, seed=5)
+        lam1 = nuis.evaluate(d)[0]
+        assert nuis.evaluate(d)[0] is lam1 is nuis.lam1
+        assert not nuis.lam1.flags.writeable
+        with pytest.raises(ValueError):
+            nuis.lam1[0] = 0.5
+        flipped = d.replace_outcome(1.0 - d.y, "binary")
+        refit = nuis.refit_joint(flipped)
+        assert refit.lam1 is nuis.lam1
+        assert refit.evaluate(flipped)[0] is nuis.lam1
+        assert calls[2] == 3
 
     @pytest.mark.parametrize("column", ["x", "z", "w"])
     def test_evaluate_rejects_other_rows(self, column):

@@ -48,6 +48,7 @@ class TestDataset:
 
     @pytest.mark.parametrize("kwargs", [
         dict(z=[0, 2]), dict(a=[0, 3]), dict(y=[0, 0.5]), dict(w=[1.0, 0.0]),
+        dict(z=[0, 0.7]), dict(a=[1.9, 1]), dict(a=[0, -0.5]), dict(z=[np.nan, 1]),
     ])
     def test_invalid_columns_rejected(self, kwargs):
         base = dict(x=np.zeros((2, 1)), z=[0, 1], a=[0, 1], y=[0, 1])

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ivbounds.learners import (
-    ConstantFrequency,
     FitError,
     HistogramPartition,
     KnnFrequency,
@@ -47,22 +46,26 @@ class TestSpecParsing:
             make_classifier(parse_learner_spec("known:0.5"), 2)
 
 
+def constant(n_classes):
+    return make_classifier(parse_learner_spec("constant"), n_classes)
+
+
 class TestConstantFrequency:
     def test_balanced_counts(self):
         x = np.zeros((40, 1))
         labels = np.repeat([0, 1, 2, 3], 10)
-        p = ConstantFrequency(4).fit(x, labels, np.ones(40)).predict_proba(x[:3])
+        p = constant(4).fit(x, labels, np.ones(40)).predict_proba(x[:3])
         np.testing.assert_allclose(p, 0.25)
 
     def test_laplace_smoothing_on_empty_class(self):
         x = np.zeros((8, 1))
         labels = np.full(8, 3)
-        p = ConstantFrequency(4).fit(x, labels, np.ones(8)).predict_proba(x[:1])
+        p = constant(4).fit(x, labels, np.ones(8)).predict_proba(x[:1])
         np.testing.assert_allclose(p[0], [1 / 12, 1 / 12, 1 / 12, 9 / 12])
 
     def test_weights_respected(self):
         x = np.zeros((2, 1))
-        p = (ConstantFrequency(2, alpha=0.0)
+        p = (HistogramPartition(2, max_depth=0, alpha=0.0)
              .fit(x, np.array([0, 1]), np.array([3.0, 1.0])).predict_proba(x[:1]))
         np.testing.assert_allclose(p[0], [0.75, 0.25])
 

@@ -3,8 +3,16 @@
 Conditional cell probabilities are stored as arrays of shape (..., 2, 2, 2)
 indexed ``pi[..., y, a, z] = P(Y=y, A=a | X, Z=z)``.  The two 8-vectors of
 candidate bound values are linear in these cells, so both the plain bound
-functions and their influence-function counterparts share one pair of
-coefficient matrices.
+functions and their influence-function counterparts share one kernel.
+
+The kernel is cell-major: it reads eight contiguous cell columns ``P[cell]``,
+cell = 4y + 2a + z, each of any leading shape, and builds each candidate as a
+chain of column adds and subtracts in ascending cell order.  The row-wise
+extremes and their 1-based selectors come from a pairwise compare chain in
+which the first extreme wins, as ``argmax`` does.  Every element is computed
+by the same operations whatever the leading shape, so a law gives the same
+bits alone or in a stack.  The public ``theta_*`` functions are layout
+wrappers: they check pi once and return (..., 8) arrays.
 """
 
 from __future__ import annotations
@@ -58,49 +66,104 @@ _UPPER_TERMS = [
 UPPER_CONSTANTS = np.array([1.0, 1.0, 0, 0, 0, 0, 0, 0])
 
 
-def _coefficient_matrix(terms) -> np.ndarray:
-    w = np.zeros((8, 8))
-    for j, row in enumerate(terms):
-        for y, a, z, sign in row:
-            w[j, 4 * y + 2 * a + z] += sign
-    return w
+def _chains(terms, constants):
+    """Per candidate: its (cell, sign) terms in ascending cell order, and its
+    constant."""
+    return [(sorted((4 * y + 2 * a + z, sign) for y, a, z, sign in row), float(const))
+            for row, const in zip(terms, constants)]
 
 
-_W_LOWER = _coefficient_matrix(_LOWER_TERMS)
-_W_UPPER = _coefficient_matrix(_UPPER_TERMS)
+_LOWER = _chains(_LOWER_TERMS, LOWER_CONSTANTS)
+_UPPER = _chains(_UPPER_TERMS, UPPER_CONSTANTS)
 
 
-def _as_cells(pi: np.ndarray) -> np.ndarray:
+def _cells(pi: np.ndarray, check: bool = True) -> np.ndarray:
+    """pi (..., 2, 2, 2) as contiguous cell columns (8, ...).  A view of
+    ``_rows`` output comes back without a copy.  ``check`` rejects
+    non-finite cells."""
     pi = np.asarray(pi, dtype=float)
     if pi.shape[-3:] != (2, 2, 2):
         raise ValueError(f"pi must have trailing shape (2, 2, 2), got {pi.shape}")
-    if not np.all(np.isfinite(pi)):
+    if check and not np.all(np.isfinite(pi)):
         raise ValueError("pi contains non-finite entries")
-    return pi.reshape(pi.shape[:-3] + (8,))
+    return np.ascontiguousarray(np.moveaxis(pi.reshape(pi.shape[:-3] + (8,)), -1, 0))
+
+
+def _rows(cols: np.ndarray) -> np.ndarray:
+    """Cell columns (8, ...) as a (..., 2, 2, 2) view."""
+    return np.moveaxis(cols, 0, -1).reshape(cols.shape[1:] + (2, 2, 2))
+
+
+def _last(cols: np.ndarray) -> np.ndarray:
+    """Candidate columns (8, ...) as a contiguous (..., 8) array."""
+    return np.ascontiguousarray(np.moveaxis(cols, 0, -1))
+
+
+def _candidates(cells: np.ndarray, side, linear: bool = False) -> np.ndarray:
+    """The 8 candidates of ``side`` (``_LOWER`` or ``_UPPER``) at the cell
+    columns, as candidate columns (8, ...); ``linear`` drops the constants."""
+    out = np.empty(cells.shape)
+    for j, (((k0, s0), (k1, s1), *rest), const) in enumerate(side):
+        col = out[j, ...]  # a view even when the leading shape is ()
+        first = cells[k0] if s0 > 0 else np.subtract(0.0, cells[k0], out=col)
+        (np.add if s1 > 0 else np.subtract)(first, cells[k1], out=col)
+        for k, sign in rest:
+            (np.add if sign > 0 else np.subtract)(col, cells[k], out=col)
+        if const and not linear:
+            col += const
+    return out
+
+
+def _first_extreme(cands: np.ndarray, extreme) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise ``extreme`` (``np.maximum`` or ``np.minimum``) of the
+    candidate columns, and the 1-based index of the first candidate that
+    attains it, as ``argmax``/``argmin`` pick it: one plus the length of the
+    leading run of candidates that miss the extreme."""
+    value = cands
+    while len(value) > 1:
+        value = extreme(value[0::2], value[1::2])
+    value = value[0]
+    miss = cands != value
+    run = miss[0, ...].copy()
+    index = run + 1
+    for k in range(1, 7):
+        run &= miss[k]
+        index += run
+    return value, index
+
+
+def _select(cands: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Each row's candidate at its 1-based ``index``, by one flat take."""
+    rows = np.arange(index.size).reshape(index.shape)
+    return np.take(cands, (index - 1) * index.size + rows)
+
+
+def _profile(cells: np.ndarray):
+    """(lower, upper, gamma_l, d_l, gamma_u, d_u): candidate columns and
+    row-wise extremes at the cell columns."""
+    lower, upper = _candidates(cells, _LOWER), _candidates(cells, _UPPER)
+    return (lower, upper, *_first_extreme(lower, np.maximum),
+            *_first_extreme(upper, np.minimum))
 
 
 def theta_lower_linear(pi: np.ndarray) -> np.ndarray:
     """Linear part of the lower-bound templates (constants dropped)."""
-    return _as_cells(pi) @ _W_LOWER.T
+    return _last(_candidates(_cells(pi), _LOWER, linear=True))
 
 
 def theta_upper_linear(pi: np.ndarray) -> np.ndarray:
     """Linear part of the upper-bound templates (constants dropped)."""
-    return _as_cells(pi) @ _W_UPPER.T
+    return _last(_candidates(_cells(pi), _UPPER, linear=True))
 
 
 def theta_lower(pi: np.ndarray) -> np.ndarray:
     """The 8 lower-bound candidate values, in display order (index 0 = first)."""
-    theta = theta_lower_linear(pi)
-    theta += LOWER_CONSTANTS  # in place: one (n, 8) array at a time
-    return theta
+    return _last(_candidates(_cells(pi), _LOWER))
 
 
 def theta_upper(pi: np.ndarray) -> np.ndarray:
     """The 8 upper-bound candidate values, in display order."""
-    theta = theta_upper_linear(pi)
-    theta += UPPER_CONSTANTS
-    return theta
+    return _last(_candidates(_cells(pi), _UPPER))
 
 
 @dataclass(frozen=True)
@@ -120,16 +183,11 @@ class ThetaProfile:
 
 
 def theta_profile(pi: np.ndarray) -> ThetaProfile:
-    th_l = theta_lower(pi)
-    th_u = theta_upper(pi)
-    d_l = np.argmax(th_l, axis=-1)
-    d_u = np.argmin(th_u, axis=-1)
-    gamma_l = np.take_along_axis(th_l, d_l[..., None], axis=-1)[..., 0]
-    gamma_u = np.take_along_axis(th_u, d_u[..., None], axis=-1)[..., 0]
-    if th_l.ndim == 1:
-        return ThetaProfile(th_l, th_u, float(gamma_l), float(gamma_u),
-                            int(d_l) + 1, int(d_u) + 1)
-    return ThetaProfile(th_l, th_u, gamma_l, gamma_u, d_l + 1, d_u + 1)
+    lower, upper, gamma_l, d_l, gamma_u, d_u = _profile(_cells(pi))
+    if lower.ndim == 1:
+        return ThetaProfile(lower, upper, float(gamma_l), float(gamma_u),
+                            int(d_l), int(d_u))
+    return ThetaProfile(_last(lower), _last(upper), gamma_l, gamma_u, d_l, d_u)
 
 
 def natural_bounds(pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -226,20 +284,19 @@ def check_sharpness(laws, tol: float = 1e-8) -> dict:
     ``lp_sharp_bounds`` within ``tol``, contain the law's ATE and nest inside
     the natural bounds.  Returns a JSON-ready summary with every failure."""
     worst, failures = 0.0, []
+    pis = np.array([response_type_pi(q) for q in laws]).reshape(-1, 2, 2, 2)
+    prof, natural = theta_profile(pis), natural_bounds(pis)  # one kernel for every law
     for i, q in enumerate(laws):
-        pi = response_type_pi(q)
-        lp = lp_sharp_bounds(pi)
+        lp = lp_sharp_bounds(pis[i])
         if lp is None:
             failures.append(f"law {i}: oracle reported infeasible")
             continue
-        prof = theta_profile(pi)
-        gl, gu = prof.gamma_l, prof.gamma_u
+        gl, gu = float(prof.gamma_l[i]), float(prof.gamma_u[i])
         worst = max(worst, abs(gl - lp[0]), abs(gu - lp[1]))
         ate = response_type_ate(q)
         if not gl - 1e-9 <= ate <= gu + 1e-9:
             failures.append(f"law {i}: ATE {ate} outside [{gl}, {gu}]")
-        bl, bu = natural_bounds(pi)
-        if not (bl - 1e-12 <= gl and gu <= bu + 1e-12):
+        if not (natural[0][i] - 1e-12 <= gl and gu <= natural[1][i] + 1e-12):
             failures.append(f"law {i}: sharp bounds escape the natural bounds")
     return {"laws": len(laws), "max_lp_gap": worst, "tolerance": tol,
             "failures": failures, "ok": worst <= tol and not failures}

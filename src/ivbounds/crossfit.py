@@ -134,7 +134,7 @@ def fit_joint(data: Dataset, z: int, learner: LearnerSpec,
     (``KnnFrequency.relabel``, which checks the rows); every other learner
     is fitted afresh.
     """
-    if not np.all(np.isin(data.y, [0.0, 1.0])):
+    if not np.all((data.y == 0) | (data.y == 1)):
         raise FitError("joint cells need an outcome in {0, 1}")
     arm = data.z == z
     if not np.any(arm):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import itertools
 import math
@@ -61,7 +62,7 @@ class Dataset:
         if not np.all((self.a == 0) | (self.a == 1)):
             raise ValueError("exposure must be binary")
         self.z, self.a = self.z.astype(int, copy=False), self.a.astype(int, copy=False)
-        if self.outcome_kind == "binary" and not np.all(np.isin(self.y, [0.0, 1.0])):
+        if self.outcome_kind == "binary" and not np.all((self.y == 0) | (self.y == 1)):
             raise ValueError("binary outcome kind requires y in {0, 1}")
         if np.any(self.w <= 0):
             raise ValueError("weights must be strictly positive")
@@ -76,8 +77,13 @@ class Dataset:
         return self.w / self.w.sum()
 
     def subset(self, idx: np.ndarray) -> "Dataset":
-        return Dataset(self.x[idx], self.z[idx], self.a[idx], self.y[idx],
-                       self.w[idx], list(self.colnames), self.outcome_kind)
+        """Rows ``idx``.  They passed ``__post_init__``'s checks when this
+        dataset was built, so the subset skips them."""
+        out = copy.copy(self)
+        out.x, out.z, out.a, out.y, out.w = (
+            v[idx] for v in (self.x, self.z, self.a, self.y, self.w))
+        out.colnames = list(self.colnames)
+        return out
 
     def replace_outcome(self, y: np.ndarray, outcome_kind: str) -> "Dataset":
         return Dataset(self.x, self.z, self.a, y, self.w,

@@ -11,7 +11,11 @@ evaluated at pi + c, selecting per row the candidate that is extreme at
 the plug-in pi.
 
 ``BoundKernel`` computes what the direct, plug-in and smooth estimators
-share, once: the candidates at pi with their extremes and selectors, and c.
+share, once, on the cell-major layout of ``bounds``: pi is checked and laid
+out as eight cell columns when the kernel starts, the candidates at pi with
+their extremes and selectors follow, and c is built as cell columns on first
+use.  Leading axes on lam1 and pi stack independent nuisances on the same
+rows (``simulation`` stacks noise rates); every estimate field gains them.
 """
 
 from __future__ import annotations
@@ -22,10 +26,10 @@ from statistics import NormalDist
 
 import numpy as np
 
-# theta_*_linear are imported only for perfbench/spans.py, which traces them
-# under this module's name as well as lse's.
-from .bounds import (theta_lower, theta_lower_linear, theta_profile, theta_upper,
-                     theta_upper_linear)
+from .bounds import _LOWER, _UPPER, _candidates, _cells, _profile, _rows, _select
+# The theta_* functions are imported only for perfbench/spans.py, which traces
+# them under this module's name as well as lse's.
+from .bounds import theta_lower, theta_lower_linear, theta_upper, theta_upper_linear
 from .data import Dataset
 
 __all__ = [
@@ -45,17 +49,23 @@ def z_quantile(alpha: float) -> float:
 
 
 def psi_correction(data: Dataset, lam1: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Per-observation correction array of shape (n, 2, 2, 2)."""
+    """Per-observation correction array of shape (..., n, 2, 2, 2) for lam1
+    of shape (..., n) and pi of shape (..., n, 2, 2, 2)."""
     if not np.all((data.y == 0.0) | (data.y == 1.0)):
         raise ValueError("the correction needs an outcome in {0, 1}")
-    rows, z, lam1 = np.arange(data.n), data.z, np.asarray(lam1, dtype=float)
-    inv_lam = np.zeros((data.n, 1, 1, 2))  # 1 / lam_z in the row's own arm z, else 0
-    inv_lam[rows, 0, 0, z] = 1.0 / np.where(z == 1, lam1, 1.0 - lam1)
-    c = np.zeros((data.n, 2, 2, 2))
-    c[rows, data.y.astype(int), data.a] = 1.0
-    c -= pi
+    cells, lam1, z = _cells(pi, check=False), np.asarray(lam1, dtype=float), data.z
+    own = 1.0 / np.where(z == 1, lam1, 1.0 - lam1)  # 1 / lam_z in the row's own arm z
+    if not np.all(np.isfinite(own)):
+        raise ValueError("the correction needs 0 < lam1 < 1 in each row's own arm")
+    inv_lam = np.zeros((2,) + own.shape)  # per arm z: 1 / lam_z in own rows, else 0
+    np.copyto(inv_lam[0], own, where=z == 0)
+    np.copyto(inv_lam[1], own, where=z == 1)
+    observed = np.zeros((4, data.n))  # per (y, a) = cell // 2: 1(y_i = y, a_i = a)
+    observed[2 * data.y.astype(int) + data.a, np.arange(data.n)] = 1.0
+    lead = (1,) * (cells.ndim - 2)
+    c = observed.reshape((4, 1) + lead + (data.n,)) - cells.reshape((4, 2) + cells.shape[1:])
     c *= inv_lam
-    return c
+    return _rows(c.reshape(cells.shape))
 
 
 @dataclass
@@ -99,43 +109,61 @@ class BoundEstimate:
         }
 
 
+def _weighted_mean(w: np.ndarray, v: np.ndarray):
+    """Mean of v along its last axis with the normalized weights w."""
+    return w @ v if v.ndim == 1 else np.array([w @ row for row in v])
+
+
 def _finish(data, lower_phi, upper_phi, d_l, d_u, method, extra) -> BoundEstimate:
+    """The estimate from per-row contributions; leading axes of the
+    contributions carry into the point estimates and variances."""
     w = data.normalized_weights()
-    lhat = float(w @ lower_phi)
-    uhat = float(w @ upper_phi)
+    lhat, uhat = _weighted_mean(w, lower_phi), _weighted_mean(w, upper_phi)
+    var_l = _weighted_mean(w, (lower_phi - np.expand_dims(lhat, -1)) ** 2)
+    var_u = _weighted_mean(w, (upper_phi - np.expand_dims(uhat, -1)) ** 2)
+    crossed = lhat > uhat
+    if np.ndim(lhat) == 0:
+        lhat, uhat, var_l, var_u, crossed = (float(lhat), float(uhat), float(var_l),
+                                             float(var_u), bool(crossed))
     return BoundEstimate(
-        lower=lhat, upper=uhat,
-        var_lower=float(w @ (lower_phi - lhat) ** 2),
-        var_upper=float(w @ (upper_phi - uhat) ** 2),
+        lower=lhat, upper=uhat, var_lower=var_l, var_upper=var_u,
         n=data.n, method=method,
         phi_lower=lower_phi, phi_upper=upper_phi,
         d_lower=d_l, d_upper=d_u,
-        crossed=lhat > uhat, extra=extra,
+        crossed=crossed, extra=extra,
     )
 
 
 class BoundKernel:
     """Per-row pieces shared by the estimators at nuisances (lam1, pi): the
-    ``profile`` of the candidates at pi and, on first use, the correction c."""
+    cell columns of pi, the candidate columns (8, ...) at them (``cand_l``,
+    ``cand_u``) with their extremes and 1-based selectors, and, on first
+    use, the correction c."""
 
     def __init__(self, data: Dataset, lam1: np.ndarray, pi: np.ndarray):
-        self.data, self.lam1, self.pi = data, lam1, pi
-        self.profile = theta_profile(pi)
+        self.data, self.lam1 = data, lam1
+        self.cells = _cells(pi)  # the only finiteness check of pi
+        (self.cand_l, self.cand_u, self.gamma_l, self.d_l,
+         self.gamma_u, self.d_u) = _profile(self.cells)
 
     @functools.cached_property
     def c(self) -> np.ndarray:
-        return psi_correction(self.data, self.lam1, self.pi)
+        """The correction (..., n, 2, 2, 2), a view of its cell columns."""
+        return psi_correction(self.data, self.lam1, _rows(self.cells))
+
+    @functools.cached_property
+    def c_cells(self) -> np.ndarray:
+        return _cells(self.c, check=False)  # no copy: c is a view of cell columns
 
     def direct(self) -> BoundEstimate:
-        p, corrected = self.profile, self.pi + self.c
-        rows = np.arange(self.data.n)
-        return _finish(self.data, theta_lower(corrected)[rows, p.d_l - 1],
-                       theta_upper(corrected)[rows, p.d_u - 1],
-                       p.d_l, p.d_u, "direct", {})
+        corrected = self.cells + self.c_cells
+        lower = _select(_candidates(corrected, _LOWER), self.d_l)
+        upper = _select(_candidates(corrected, _UPPER), self.d_u)
+        return _finish(self.data, lower, upper, self.d_l, self.d_u, "direct", {})
 
     def plugin(self) -> BoundEstimate:
-        p = self.profile
-        return _finish(self.data, p.gamma_l, p.gamma_u, p.d_l, p.d_u, "plugin", {})
+        return _finish(self.data, self.gamma_l, self.gamma_u, self.d_l, self.d_u,
+                       "plugin", {})
 
 
 def direct_bounds(data: Dataset, lam1: np.ndarray, pi: np.ndarray) -> BoundEstimate:

@@ -5,6 +5,11 @@ log(k)/t; h_t(v) = -g_t(-v) approximates min(v) from below.  The smooth
 one-step estimator replaces the hard candidate selection with the softmax
 gradient of g_t, and its confidence interval is widened by log(8)/t on
 each side to cover the smoothing bias.
+
+The kernel works on candidate columns (k, ...), the layout of ``bounds``:
+the max, the exponentials, the tie count and the sums are column chains,
+and the sums of eight columns keep NumPy's pairwise order.  ``lse`` and
+``lse_grad`` take and return the last-axis layout.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# theta_lower, theta_upper and psi_correction are imported only for
+from .bounds import _LOWER, _UPPER, _candidates, _last
+# The theta_* functions and psi_correction are imported only for
 # perfbench/spans.py, which traces them under this module's name too.
 from .bounds import theta_lower, theta_lower_linear, theta_upper, theta_upper_linear
 from .data import Dataset
@@ -31,23 +37,41 @@ __all__ = [
 ]
 
 
-def _lse_and_grad(v: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """``lse(v, t)`` and ``lse_grad(v, t)`` from one exp(t (v - max))."""
-    v = np.asarray(v, dtype=float)
-    # A chain of column maxima: np.max over a short last axis is ~10x slower.
-    m = functools.reduce(np.maximum, np.moveaxis(v, -1, 0))[..., None]
-    e = np.exp(t * (v - m))
+def _column_sum(cols: np.ndarray) -> np.ndarray:
+    """Sum of the columns (k, ...).  Eight columns add in NumPy's pairwise
+    order for 8 terms, ((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7)),
+    so the result equals ``np.sum`` over a contiguous last axis bit for bit."""
+    if len(cols) != 8:
+        return functools.reduce(np.add, cols)
+    while len(cols) > 1:
+        cols = cols[0::2] + cols[1::2]
+    return cols[0]
+
+
+def _lse_gap(gap: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """``lse(v, t) - max(v)`` and ``lse_grad(v, t)`` for the columns
+    gap = v - max(v) (k, ...), from one exp(t gap), which overwrites gap;
+    ``t`` broadcasts against one column."""
+    is_max = gap == 0.0  # exactly the maximizing entries
+    gap *= t
+    e = np.exp(gap, out=gap)
     # Split off the maximizing entries (each contributes exactly 1) so the
     # remainder enters through log1p and strict domination of the max is
     # preserved even when the other exponentials are tiny.
-    is_max = v == m
-    n_max = is_max.sum(axis=-1)
-    e[is_max] = 0.0  # each exactly 1, restored below: no masked copy of e
-    rest = np.sum(e, axis=-1)
-    e[is_max] = 1.0
-    value = m[..., 0] + np.log1p((n_max - 1.0) + rest) / t
-    e /= np.sum(e, axis=-1, keepdims=True)
-    return value, e
+    n_max = _column_sum(is_max.view(np.uint8))
+    e -= is_max  # exact: 1 - 1 = 0 at the maxima, and undone exactly below
+    rest = _column_sum(e)
+    e += is_max
+    e /= _column_sum(e)
+    return np.log1p((n_max - 1.0) + rest) / t, e
+
+
+def _lse_and_grad(v: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """``lse(v, t)`` and ``lse_grad(v, t)`` from one exp(t (v - max))."""
+    cols = np.ascontiguousarray(np.moveaxis(np.asarray(v, dtype=float), -1, 0))
+    m = functools.reduce(np.maximum, cols)
+    part, grad = _lse_gap(cols - m, t)
+    return m + part, _last(grad)
 
 
 def lse(v: np.ndarray, t: float) -> np.ndarray:
@@ -91,17 +115,24 @@ class LseConfig:
         raise ValueError(f"unknown temperature rule: {self.rule!r}")
 
 
+def _smooth_phi(kernel: BoundKernel, t) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row smooth contributions: each row's lse plus its softmax-weighted
+    c, at temperature ``t`` (a float, or one per leading index, shaped to
+    broadcast against one candidate column).  The lower side smooths the
+    candidates, the upper side their negatives, whose max is -gamma_u."""
+    c = kernel.c_cells
+    part, grad = _lse_gap(kernel.cand_l - kernel.gamma_l, t)
+    grad *= _candidates(c, _LOWER, linear=True)
+    phi_l = (kernel.gamma_l + part) + _column_sum(grad)
+    part, grad = _lse_gap(kernel.gamma_u - kernel.cand_u, t)
+    grad *= _candidates(c, _UPPER, linear=True)
+    return phi_l, -(-kernel.gamma_u + part) + _column_sum(grad)
+
+
 def lse_estimate(kernel: BoundKernel, config: LseConfig = LseConfig()) -> BoundEstimate:
     """Smooth one-step estimate: each row's lse plus its softmax-weighted c."""
     t = config.temperature(kernel.data.n)
-    p = kernel.profile
-    value, grad = _lse_and_grad(p.theta_l, t)
-    grad *= theta_lower_linear(kernel.c)
-    phi_l = value + np.sum(grad, axis=-1)
-    value, grad = _lse_and_grad(-p.theta_u, t)
-    grad *= theta_upper_linear(kernel.c)
-    phi_u = -value + np.sum(grad, axis=-1)
-    return _finish(kernel.data, phi_l, phi_u, p.d_l, p.d_u, "lse",
+    return _finish(kernel.data, *_smooth_phi(kernel, t), kernel.d_l, kernel.d_u, "lse",
                    {"t": t, "t_rule": config.rule})
 
 

@@ -22,8 +22,8 @@ from .crossfit import ClosedFormNuisance, oracle_noisy_nuisance, rng_stream
 from .data import Dataset
 # direct_bounds, plugin_bounds and lse_bounds are imported only for
 # perfbench/spans.py, which traces them under this module's name.
-from .estimators import BoundKernel, direct_bounds, plugin_bounds, wald_interval
-from .lse import LseConfig, conservative_interval, lse_bounds, lse_estimate
+from .estimators import BoundKernel, _finish, direct_bounds, plugin_bounds, wald_interval
+from .lse import LseConfig, _smooth_phi, conservative_interval, lse_bounds, lse_estimate
 
 __all__ = [
     "gen_margin",
@@ -191,14 +191,20 @@ def _check_design(n_grid, r_grid, reps: int) -> None:
                          "and every r in (0, 0.5]")
 
 
-def _bounds_by_method(data, nuisances, config: LseConfig) -> dict:
-    """(lower, upper) of the direct, smooth and plug-in estimates at
-    nuisances (lam1, pi), read from one kernel.  Only floats leave, so no
-    kernel's (n, 8) arrays outlive it while the next rate's are built."""
-    kernel = BoundKernel(data, *nuisances)
-    ests = {"direct": kernel.direct(), "lse": lse_estimate(kernel, config),
-            "plugin": kernel.plugin()}
-    return {m: (est.lower, est.upper) for m, est in ests.items()}
+def _bounds_by_rate(data, noise, logits, rates, h: float) -> list[dict]:
+    """Per rate, (lower, upper) of the direct, smooth and plug-in estimates,
+    read from one kernel over the rates stacked on a leading axis.  Only
+    floats leave, so no kernel's arrays outlive it while the next chunk's
+    are built."""
+    lam1, pi = zip(*(replace(noise, scale=h * data.n ** (-r)).shift(logits)
+                     for r in rates))
+    kernel = BoundKernel(data, np.stack(lam1), np.stack(pi))
+    del lam1, pi
+    t = np.array([[LseConfig("simulation", h=h, r=r).temperature(data.n)] for r in rates])
+    ests = {"direct": kernel.direct(), "plugin": kernel.plugin(),
+            "lse": _finish(data, *_smooth_phi(kernel, t), None, None, "lse", {})}
+    return [{m: (float(est.lower[i]), float(est.upper[i])) for m, est in ests.items()}
+            for i in range(len(rates))]
 
 
 def rmse_experiment(n_grid, r_grid, reps: int, seed: int,
@@ -208,24 +214,27 @@ def rmse_experiment(n_grid, r_grid, reps: int, seed: int,
     Nuisances are the closed-form truth perturbed on the logit scale by one
     N(h n^-r, h^2 n^-2r) draw per function, giving nuisance error of order
     n^-r.  True lower and upper bounds are both 0.  Rows are in (n, r) order.
+    Each (n, rep) runs its rates in chunks of at most max(n_grid) rows, so
+    small n shares one kernel across rates and no chunk outgrows the largest
+    single-rate kernel.
     """
     _check_design(n_grid, r_grid, reps)
     truth = margin_truth()
     rows = []
     for n in n_grid:
-        errs = [[] for _ in r_grid]  # per r, one _bounds_by_method per rep
+        per_chunk = max(n_grid) // n
+        errs = []  # per rep, one dict of (lower, upper) per rate
         for rep in range(reps):
             data = gen_margin(n, seed, rep)
             noise = oracle_noisy_nuisance(truth, n, r_grid[0], h, seed, rep)
             logits = noise.truth_logits(data)  # checked once, rescaled per r
-            for r, err in zip(r_grid, errs):
-                noise_r = replace(noise, scale=h * n ** (-r))
-                err.append(_bounds_by_method(data, noise_r.shift(logits),
-                                             LseConfig("simulation", h=h, r=r)))
-        for r, err in zip(r_grid, errs):
+            errs.append([b for lo in range(0, len(r_grid), per_chunk)
+                         for b in _bounds_by_rate(data, noise, logits,
+                                                  r_grid[lo:lo + per_chunk], h)])
+        for i, r in enumerate(r_grid):
             row = {"n": n, "r": r, "reps": reps}
             for name in ("direct", "lse", "plugin"):
-                arr = np.asarray([e[name] for e in err])
+                arr = np.asarray([e[i][name] for e in errs])
                 row[f"rmse_lower_{name}"] = float(np.sqrt(np.mean(arr[:, 0] ** 2)))
                 row[f"rmse_upper_{name}"] = float(np.sqrt(np.mean(arr[:, 1] ** 2)))
                 row[f"bias_lower_{name}"] = float(np.mean(arr[:, 0]))

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivbounds.bounds import (
+    _TYPE_INCIDENCE,
     RESPONSE_TYPES,
     check_sharpness,
     lp_sharp_bounds,
@@ -88,6 +91,32 @@ class TestThetaTemplates:
             theta_lower(np.zeros((3, 3)))
         with pytest.raises(ValueError):
             theta_lower(np.full((2, 2, 2), np.nan))
+
+
+class TestStackedLaws:
+    """A law's candidates, extremes and selectors are the same bits whether it
+    is evaluated alone or inside a stack of any leading shape."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           shape=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+           zero_share=st.sampled_from([0.0, 0.3]))
+    def test_stack_equals_each_law(self, seed, shape, zero_share):
+        rng = np.random.default_rng(seed)
+        laws = rng.dirichlet(np.ones(16), size=shape)
+        laws[rng.random(laws.shape) < zero_share] = 0.0  # ties and zero cells
+        pis = laws @ _TYPE_INCIDENCE.T  # unnormalized zeroed laws stay finite
+        pis = pis.reshape(tuple(shape) + (2, 2, 2))
+        stacked = {f.__name__: f(pis) for f in (theta_lower, theta_upper)}
+        prof = theta_profile(pis)
+        for idx in np.ndindex(*shape):
+            for name, f in (("theta_lower", theta_lower), ("theta_upper", theta_upper)):
+                assert f(pis[idx]).tobytes() == stacked[name][idx].tobytes(), (name, idx)
+            one = theta_profile(pis[idx])
+            for field in ("theta_l", "theta_u", "gamma_l", "gamma_u", "d_l", "d_u"):
+                got = np.asarray(getattr(prof, field)[idx])
+                want = np.asarray(getattr(one, field), dtype=got.dtype)
+                assert got.tobytes() == want.tobytes(), (field, idx)
 
 
 class TestNaturalBounds:

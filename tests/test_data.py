@@ -32,6 +32,21 @@ class TestDataset:
                     w=[1.0, 2.0, 3.0])
         assert d.normalized_weights().sum() == pytest.approx(1.0)
 
+    def test_subset_fields_are_the_indexed_arrays(self):
+        rng = np.random.default_rng(5)
+        d = Dataset(x=rng.random((40, 3)), z=rng.integers(0, 2, 40),
+                    a=rng.integers(0, 2, 40), y=rng.integers(0, 2, 40),
+                    w=rng.uniform(0.5, 2.0, 40), colnames=["p", "q", "r"])
+        for idx in (np.array([7, 3, 3, 39]), np.arange(40) % 3 == 0, np.array([], int)):
+            s = d.subset(idx)
+            for field in ("x", "z", "a", "y", "w"):
+                want = getattr(d, field)[idx]
+                got = getattr(s, field)
+                assert got.dtype == want.dtype and got.shape == want.shape, field
+                np.testing.assert_array_equal(got, want)
+            assert s.n == len(d.z[idx]) and s.outcome_kind == d.outcome_kind
+            assert s.colnames == d.colnames and s.colnames is not d.colnames
+
     def test_subset_preserves_metadata(self):
         d = Dataset(x=np.arange(6.0).reshape(3, 2), z=[0, 1, 0], a=[0, 1, 0],
                     y=[0, 0, 1], colnames=["u", "v"])

@@ -288,6 +288,19 @@ class TestSharedKernelMatchesReference:
             n, reps, r, seed)
 
 
+@pytest.mark.parametrize("seed", [0, 9])
+def test_stacked_rates_change_no_number(seed):
+    # At n = 500 all nine rates share one chunk of 4,500 rows; at n = 5000
+    # each rate is a chunk of its own.  Run one rate at a time, n alone sets
+    # the chunk, so every rate gets a kernel of its own.
+    r_grid = [round(0.10 + 0.05 * k, 2) for k in range(9)]
+    stacked = rmse_experiment([500, 5000], r_grid, reps=2, seed=seed)
+    alone = [rmse_experiment([n], [r], reps=2, seed=seed)[0]
+             for n in (500, 5000) for r in r_grid]
+    bits = [{k: np.float64(v).tobytes() for k, v in row.items()} for row in stacked]
+    assert bits == [{k: np.float64(v).tobytes() for k, v in row.items()} for row in alone]
+
+
 class TestDesignChecks:
     @pytest.mark.parametrize("n_grid, r_grid, reps", [
         ([100], [0.3], 0), ([100, 0], [0.3], 2), ([-5], [0.3], 2),

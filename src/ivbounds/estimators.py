@@ -109,18 +109,15 @@ class BoundEstimate:
         }
 
 
-def _weighted_mean(w: np.ndarray, v: np.ndarray):
-    """Mean of v along its last axis with the normalized weights w."""
-    return w @ v if v.ndim == 1 else np.array([w @ row for row in v])
-
-
 def _finish(data, lower_phi, upper_phi, d_l, d_u, method, extra) -> BoundEstimate:
     """The estimate from per-row contributions; leading axes of the
-    contributions carry into the point estimates and variances."""
+    contributions carry into the point estimates and variances.  Means are
+    NumPy's pairwise sums along the rows, whose order, unlike a BLAS dot's,
+    does not depend on the thread count."""
     w = data.normalized_weights()
-    lhat, uhat = _weighted_mean(w, lower_phi), _weighted_mean(w, upper_phi)
-    var_l = _weighted_mean(w, (lower_phi - np.expand_dims(lhat, -1)) ** 2)
-    var_u = _weighted_mean(w, (upper_phi - np.expand_dims(uhat, -1)) ** 2)
+    lhat, uhat = np.sum(w * lower_phi, axis=-1), np.sum(w * upper_phi, axis=-1)
+    var_l = np.sum(w * (lower_phi - np.expand_dims(lhat, -1)) ** 2, axis=-1)
+    var_u = np.sum(w * (upper_phi - np.expand_dims(uhat, -1)) ** 2, axis=-1)
     crossed = lhat > uhat
     if np.ndim(lhat) == 0:
         lhat, uhat, var_l, var_u, crossed = (float(lhat), float(uhat), float(var_l),

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ivbounds
 import ivbounds.crossfit as crossfit
 from ivbounds.cli import main
 from ivbounds.continuous import continuous_bounds
@@ -41,6 +46,23 @@ def run_json(capsys, argv):
     rc = main(argv)
     out = capsys.readouterr().out
     return rc, json.loads(out)
+
+
+def test_report_does_not_depend_on_blas_threads(tmp_path):
+    # Above about 10k rows a multithreaded BLAS dot splits its sum across
+    # threads, so a mean taken by one moved in its last digits with the
+    # thread count.
+    csv = write_illustration_csv(tmp_path / "d.csv", n=20_000)
+    src = str(Path(ivbounds.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-m", "ivbounds.cli", "bounds", str(csv),
+                               *BOUNDS_ARGS, "--method", "direct"],
+                              env=env, capture_output=True, text=True, check=True)
+        reports.append(done.stdout)
+    assert reports[0] == reports[1]
 
 
 class TestBoundsCommand:

@@ -8,8 +8,9 @@ functions and their influence-function counterparts share one kernel.
 The kernel is cell-major: it reads eight contiguous cell columns ``P[cell]``,
 cell = 4y + 2a + z, each of any leading shape, and builds each candidate as a
 chain of column adds and subtracts in ascending cell order.  The row-wise
-extremes and their 1-based selectors come from a pairwise compare chain in
-which the first extreme wins, as ``argmax`` does.  Every element is computed
+extremes come from a pairwise max/min tree and the 1-based selectors from
+the leading run of candidates that miss the extreme, so the first extreme
+wins, as ``argmax`` does.  Every element is computed
 by the same operations whatever the leading shape, so a law gives the same
 bits alone or in a stack.  The public ``theta_*`` functions are layout
 wrappers: they check pi once and return (..., 8) arrays.
@@ -105,6 +106,7 @@ def _candidates(cells: np.ndarray, side, linear: bool = False) -> np.ndarray:
     out = np.empty(cells.shape)
     for j, (((k0, s0), (k1, s1), *rest), const) in enumerate(side):
         col = out[j, ...]  # a view even when the leading shape is ()
+        # 0 - x rather than -x: a zero cell starts the chain at +0.0, as a sum does
         first = cells[k0] if s0 > 0 else np.subtract(0.0, cells[k0], out=col)
         (np.add if s1 > 0 else np.subtract)(first, cells[k1], out=col)
         for k, sign in rest:
@@ -126,7 +128,7 @@ def _first_extreme(cands: np.ndarray, extreme) -> tuple[np.ndarray, np.ndarray]:
     miss = cands != value
     run = miss[0, ...].copy()
     index = run + 1
-    for k in range(1, 7):
+    for k in range(1, len(cands) - 1):
         run &= miss[k]
         index += run
     return value, index

@@ -54,7 +54,8 @@ def psi_correction(data: Dataset, lam1: np.ndarray, pi: np.ndarray) -> np.ndarra
     if not np.all((data.y == 0.0) | (data.y == 1.0)):
         raise ValueError("the correction needs an outcome in {0, 1}")
     cells, lam1, z = _cells(pi, check=False), np.asarray(lam1, dtype=float), data.z
-    own = 1.0 / np.where(z == 1, lam1, 1.0 - lam1)  # 1 / lam_z in the row's own arm z
+    with np.errstate(divide="ignore"):  # a zero is rejected below
+        own = 1.0 / np.where(z == 1, lam1, 1.0 - lam1)  # 1 / lam_z in the row's own arm z
     if not np.all(np.isfinite(own)):
         raise ValueError("the correction needs 0 < lam1 < 1 in each row's own arm")
     inv_lam = np.zeros((2,) + own.shape)  # per arm z: 1 / lam_z in own rows, else 0

@@ -72,6 +72,21 @@ class TestPsiCorrection:
         arm = 1 - d.z
         assert np.all(c[np.arange(50), :, :, arm] == 0.0)
 
+    @pytest.mark.parametrize("lam", [0.0, 1.0, np.nan])
+    def test_propensity_without_own_arm_mass_rejected(self, lam):
+        # 1 / lam_z must be finite in every row's own arm z; the kernel
+        # checks pi once and relies on this check for c.
+        d = constant_x_data(20, 4)
+        lam1 = np.full(20, 0.4)
+        lam1[np.flatnonzero(d.z == (0 if lam == 1.0 else 1))[0]] = lam
+        pi = np.full((20, 2, 2, 2), 0.25)
+        for estimate in (lambda: psi_correction(d, lam1, pi),
+                         lambda: direct_bounds(d, lam1, pi),
+                         lambda: lse_bounds(d, lam1, pi)):
+            with pytest.raises(ValueError, match="0 < lam1 < 1"):
+                estimate()
+        assert np.isfinite(plugin_bounds(d, lam1, pi).lower)  # needs no correction
+
     @pytest.mark.parametrize("y", [1.5, 0.5, -1.0])
     def test_non_binary_outcome_rejected(self, y):
         d = constant_x_data(20, 3)

@@ -42,7 +42,7 @@ def _column_sum(cols: np.ndarray) -> np.ndarray:
     order for 8 terms, ((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7)),
     so the result equals ``np.sum`` over a contiguous last axis bit for bit."""
     if len(cols) != 8:
-        return functools.reduce(np.add, cols)
+        return cols.sum(axis=0)
     while len(cols) > 1:
         cols = cols[0::2] + cols[1::2]
     return cols[0]

@@ -56,6 +56,12 @@ class TestKernel:
         assert np.isfinite(lse(v, 50.0)).all()
         assert np.isfinite(lse_grad(v, 50.0)).all()
 
+    def test_many_tied_entries(self):
+        # 300 tied maxima: the tie count must not wrap around.
+        v = np.zeros((2, 300))
+        np.testing.assert_allclose(lse(v, 2.0), np.log(300) / 2.0, rtol=1e-15)
+        np.testing.assert_allclose(lse_grad(v, 2.0), 1 / 300, rtol=1e-15)
+
     def test_gradient_finite_difference(self):
         rng = np.random.default_rng(3)
         v = rng.standard_normal(8)

@@ -110,13 +110,15 @@ class BoundEstimate:
         }
 
 
+def _mean(w: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    return np.sum(w * phi, axis=-1)  # pairwise: unlike a BLAS dot, thread-independent
+
+
 def _finish(data, lower_phi, upper_phi, d_l, d_u, method, extra) -> BoundEstimate:
     """The estimate from per-row contributions; leading axes of the
-    contributions carry into the point estimates and variances.  Means are
-    NumPy's pairwise sums along the rows, whose order, unlike a BLAS dot's,
-    does not depend on the thread count."""
+    contributions carry into the point estimates and variances."""
     w = data.normalized_weights()
-    lhat, uhat = np.sum(w * lower_phi, axis=-1), np.sum(w * upper_phi, axis=-1)
+    lhat, uhat = _mean(w, lower_phi), _mean(w, upper_phi)
     var_l = np.sum(w * (lower_phi - np.expand_dims(lhat, -1)) ** 2, axis=-1)
     var_u = np.sum(w * (upper_phi - np.expand_dims(uhat, -1)) ** 2, axis=-1)
     crossed = lhat > uhat
@@ -153,11 +155,13 @@ class BoundKernel:
     def c_cells(self) -> np.ndarray:
         return _cells(self.c, check=False)  # no copy: c is a view of cell columns
 
+    def direct_phi(self) -> tuple[np.ndarray, np.ndarray]:
+        corrected = self.cells + self.c_cells  # rows pick their candidates at pi + c
+        return (_select(_candidates(corrected, _LOWER), self.d_l),
+                _select(_candidates(corrected, _UPPER), self.d_u))
+
     def direct(self) -> BoundEstimate:
-        corrected = self.cells + self.c_cells
-        lower = _select(_candidates(corrected, _LOWER), self.d_l)
-        upper = _select(_candidates(corrected, _UPPER), self.d_u)
-        return _finish(self.data, lower, upper, self.d_l, self.d_u, "direct", {})
+        return _finish(self.data, *self.direct_phi(), self.d_l, self.d_u, "direct", {})
 
     def plugin(self) -> BoundEstimate:
         return _finish(self.data, self.gamma_l, self.gamma_u, self.d_l, self.d_u,

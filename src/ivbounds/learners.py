@@ -13,7 +13,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "FitError",
@@ -211,6 +210,7 @@ class KnnFrequency:
         self.alpha = alpha
 
     def fit(self, X, labels, w):
+        from scipy.spatial import cKDTree  # scipy takes ~0.45 s to import; only knn uses it
         X = np.atleast_2d(np.asarray(X, dtype=float))
         self.tree_ = cKDTree(X)
         self.labels_ = np.asarray(labels)

@@ -22,7 +22,7 @@ from .crossfit import ClosedFormNuisance, oracle_noisy_nuisance, rng_stream
 from .data import Dataset
 # direct_bounds, plugin_bounds and lse_bounds are imported only for
 # perfbench/spans.py, which traces them under this module's name.
-from .estimators import BoundKernel, _finish, direct_bounds, plugin_bounds, wald_interval
+from .estimators import BoundKernel, _mean, direct_bounds, plugin_bounds, wald_interval
 from .lse import LseConfig, _smooth_phi, conservative_interval, lse_bounds, lse_estimate
 
 __all__ = [
@@ -201,9 +201,11 @@ def _bounds_by_rate(data, noise, logits, rates, h: float) -> list[dict]:
     kernel = BoundKernel(data, np.stack(lam1), np.stack(pi))
     del lam1, pi
     t = np.array([[LseConfig("simulation", h=h, r=r).temperature(data.n)] for r in rates])
-    ests = {"direct": kernel.direct(), "plugin": kernel.plugin(),
-            "lse": _finish(data, *_smooth_phi(kernel, t), None, None, "lse", {})}
-    return [{m: (float(est.lower[i]), float(est.upper[i])) for m, est in ests.items()}
+    w = data.normalized_weights()
+    means = {m: (_mean(w, lower), _mean(w, upper)) for m, (lower, upper) in (
+        ("direct", kernel.direct_phi()), ("plugin", (kernel.gamma_l, kernel.gamma_u)),
+        ("lse", _smooth_phi(kernel, t)))}
+    return [{m: (float(lower[i]), float(upper[i])) for m, (lower, upper) in means.items()}
             for i in range(len(rates))]
 
 

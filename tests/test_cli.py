@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import ivbounds
+import ivbounds.cli as cli
 import ivbounds.crossfit as crossfit
 from ivbounds.cli import main
 from ivbounds.continuous import continuous_bounds
@@ -48,16 +50,27 @@ def run_json(capsys, argv):
     return rc, json.loads(out)
 
 
+def fresh_env(**extra):
+    """The environment of a fresh interpreter that imports this ivbounds."""
+    src = str(Path(ivbounds.__file__).resolve().parents[1])
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter and return its stdout."""
+    return subprocess.run([sys.executable, "-c", code], env=fresh_env(),
+                          capture_output=True, text=True, check=True).stdout
+
+
 def test_report_does_not_depend_on_blas_threads(tmp_path):
     # Above about 10k rows a multithreaded BLAS dot splits its sum across
     # threads, so a mean taken by one moved in its last digits with the
     # thread count.
     csv = write_illustration_csv(tmp_path / "d.csv", n=20_000)
-    src = str(Path(ivbounds.__file__).resolve().parents[1])
     reports = []
     for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        env = fresh_env(OPENBLAS_NUM_THREADS=threads)
         done = subprocess.run([sys.executable, "-m", "ivbounds.cli", "bounds", str(csv),
                                *BOUNDS_ARGS, "--method", "direct"],
                               env=env, capture_output=True, text=True, check=True)
@@ -232,6 +245,16 @@ class TestBoundsCommand:
         assert err["error"] == "field-too-large"
         assert err["message"].startswith("row 0:" if where == "header" else "row 1:")
 
+    @pytest.mark.parametrize("delta", ["1.5", "1", "0", "-0.1"])
+    def test_delta_checked_before_reading_input(self, tmp_path, capsys, delta):
+        # A delta in (1, 2) gave a negative critical value and an interval
+        # inside the point bounds, with exit 0.
+        rc = main(["bounds", str(tmp_path / "absent.csv"), *BOUNDS_ARGS, "--delta", delta])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid-config"
+        assert "--delta" in err["message"]
+
     def test_output_file(self, tmp_path, capsys):
         csv = write_illustration_csv(tmp_path / "d.csv", n=300)
         out = tmp_path / "report.json"
@@ -354,9 +377,57 @@ class TestOtherCommands:
         assert err["error"] == "invalid-config"
         assert "2**32" in err["message"]
 
+    @pytest.mark.parametrize("delta", ["1.5", "1", "0", "-0.1"])
+    def test_illustrate_checks_delta_before_drawing(self, monkeypatch, capsys, delta):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("data drawn before --delta was checked")
+        monkeypatch.setattr(cli, "gen_illustration", no_draws)
+        assert main(["illustrate", "--n", "200", "--folds", "2", "--delta", delta]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "invalid-config"
+        assert "--delta" in err["message"]
+
     def test_check_passes(self, capsys):
         rc = main(["check", "--laws", "50"])
         payload = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert payload["ok"] is True
         assert payload["max_lp_gap"] < 1e-8
+
+
+def test_import_does_not_load_scipy():
+    # scipy takes about 0.45 s to import and only the knn learner uses it.
+    out = run_fresh(
+        "import sys, numpy as np\n"
+        "import ivbounds, ivbounds.cli\n"
+        "print('scipy' in sys.modules)\n"
+        "from ivbounds.learners import KnnFrequency\n"
+        "x = np.arange(10.0)[:, None]\n"
+        "p = KnnFrequency(2, k=3).fit(x, np.arange(10) % 2, np.ones(10)).predict_proba(x)\n"
+        "print(p.shape)\n")
+    assert out.split("\n")[:2] == ["False", "(10, 2)"]
+
+
+class TestAllocatorPolicy:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt only")
+    def test_second_simulate_reuses_freed_heap(self):
+        # With glibc's default trimming each bound kernel page-faults its
+        # temporaries in again: about 11k minor faults per --reps 2.
+        faults = int(run_fresh(
+            "import os, resource\n"
+            "from ivbounds.cli import main\n"
+            "argv = ['simulate', '--reps', '2', '--seed', '3', '--output', os.devnull]\n"
+            "main(argv)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "main(argv)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"))
+        assert faults < 1000
+
+    def test_runs_without_mallopt(self, monkeypatch, capsys):
+        class NoMallopt:  # a C library without mallopt, as on macOS
+            pass
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: NoMallopt())
+        assert main(["check", "--laws", "50"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True

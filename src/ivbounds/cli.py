@@ -14,6 +14,7 @@ import argparse
 import csv as csv_mod
 import ctypes
 import json
+import os
 import sys
 
 import numpy as np
@@ -219,6 +220,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_illustrate(args) -> int:
     pi_spec = parse_learner_spec(args.learner_pi)
     lam_spec = parse_learner_spec(args.learner_lambda)
+    check_cross_fit_settings(args.folds, lam_spec, n=args.n)
     truth = illustration_truth(appendix_compat=args.appendix_f_compat)
     widths = width_comparison(args.appendix_f_compat)
     data = gen_illustration(args.n, args.seed, args.appendix_f_compat)
@@ -240,10 +242,22 @@ def _cmd_illustrate(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.laws < 1:
+        raise ValueError(f"--laws {args.laws} is below 1")
+    if not 0 <= args.tol < float("inf"):  # nan fails too
+        raise ValueError(f"--tol {args.tol} is negative or not finite")
     laws = rng_stream(args.seed, 99).dirichlet(np.ones(16), size=args.laws)
     result = check_sharpness(laws, args.tol)
     print(json.dumps({**result, "failures": result["failures"][:20]}, indent=2))
     return 0 if result["ok"] else 1
+
+
+def _check_output(path: str) -> None:
+    """Fail before any work if ``path`` could not be written; it is written only at the end."""
+    folder = os.path.dirname(os.path.abspath(path))
+    target = path if os.path.exists(path) else folder
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(target, os.W_OK):
+        raise OSError(f"{path}: not a writable file in an existing directory")
 
 
 def _keep_freed_heap() -> None:
@@ -266,6 +280,8 @@ def main(argv=None) -> int:
             raise ValueError(f"--seed {args.seed} outside [0, 2**32)")
         if "delta" in vars(args) and not 0 < args.delta < 1:  # z_quantile needs (0, 1)
             raise ValueError(f"--delta {args.delta} outside (0, 1)")
+        for path in filter(None, (getattr(args, "output", None), getattr(args, "csv", None))):
+            _check_output(path)
         return commands[args.command](args)
     except (OSError, FitError, ValueError) as exc:
         code = (exc.code if isinstance(exc, LoadError) else

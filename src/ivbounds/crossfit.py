@@ -84,11 +84,13 @@ def _check_propensity_settings(learner: LearnerSpec, eps: float) -> None:
 
 
 def check_cross_fit_settings(n_folds: int, lambda_learner: LearnerSpec,
-                             eps: float = DEFAULT_EPS) -> None:
-    """Raise ``ValueError`` for settings ``cross_fit`` rejects whatever the data."""
+                             eps: float = DEFAULT_EPS, n: int | None = None) -> None:
+    """Raise ``ValueError`` for settings ``cross_fit`` rejects (with ``n``, also n < 2K)."""
     if n_folds < 2:
         raise ValueError("need at least 2 folds")
     _check_propensity_settings(lambda_learner, eps)
+    if n is not None and n < 2 * n_folds:
+        raise ValueError("need n >= 2K observations")
 
 
 def fit_propensity(data: Dataset, learner: LearnerSpec,
@@ -219,9 +221,7 @@ def cross_fit(data: Dataset, n_folds: int, pi_learner: LearnerSpec,
               eps: float = DEFAULT_EPS) -> FoldedNuisances:
     """Fit per-fold predictors on each fold's complement, and predict the
     propensity of each fold's rows from its fit."""
-    check_cross_fit_settings(n_folds, lambda_learner, eps)
-    if data.n < 2 * n_folds:
-        raise ValueError("need n >= 2K observations")
+    check_cross_fit_settings(n_folds, lambda_learner, eps, data.n)
     folds = fold_assignment(rng_stream(seed, 0).random(data.n), n_folds)
     lam1, joint = np.empty(data.n), []
     for k in range(n_folds):

@@ -16,6 +16,8 @@ out as eight cell columns when the kernel starts, the candidates at pi with
 their extremes and selectors follow, and c is built as cell columns on first
 use.  Leading axes on lam1 and pi stack independent nuisances on the same
 rows (``simulation`` stacks noise rates); every estimate field gains them.
+The public estimators join the per-row values of one kernel per ``ROW_BLOCK``
+rows; each kernel step is row-wise, so the bits are a whole-n kernel's.
 """
 
 from __future__ import annotations
@@ -168,14 +170,32 @@ class BoundKernel:
                        "plugin", {})
 
 
+ROW_BLOCK = 8192  # rows per kernel: its eight candidate columns (512 KiB) stay in L2
+
+
+def _by_blocks(data: Dataset, lam1, pi, phi, method: str, extra: dict) -> BoundEstimate:
+    """The estimate from ``phi(kernel)``'s per-row contributions of one kernel per
+    block of at most ``ROW_BLOCK`` rows, joined with the selectors and finished once."""
+    lam1, pi = np.asarray(lam1, dtype=float), np.asarray(pi, dtype=float)
+    if pi.shape[-4:] != (data.n, 2, 2, 2) or lam1.shape[-1:] != (data.n,):
+        raise ValueError(f"lam1 {lam1.shape} and pi {pi.shape} need {data.n} rows")
+    joined = [np.empty(pi.shape[:-3], dtype) for dtype in (float, float, int, int)]
+    for lo in range(0, data.n, ROW_BLOCK):
+        rows = slice(lo, lo + ROW_BLOCK)
+        kernel = BoundKernel(data.subset(rows), lam1[..., rows], pi[..., rows, :, :, :])
+        for full, part in zip(joined, (*phi(kernel), kernel.d_l, kernel.d_u)):
+            full[..., rows] = part
+    return _finish(data, *joined, method, extra)
+
+
 def direct_bounds(data: Dataset, lam1: np.ndarray, pi: np.ndarray) -> BoundEstimate:
     """One-step estimator selecting the plug-in maximizer/minimizer per row."""
-    return BoundKernel(data, lam1, pi).direct()
+    return _by_blocks(data, lam1, pi, BoundKernel.direct_phi, "direct", {})
 
 
 def plugin_bounds(data: Dataset, lam1: np.ndarray, pi: np.ndarray) -> BoundEstimate:
     """Sample average of the row-wise extreme candidates at the plug-in pi."""
-    return BoundKernel(data, lam1, pi).plugin()
+    return _by_blocks(data, lam1, pi, lambda k: (k.gamma_l, k.gamma_u), "plugin", {})
 
 
 def wald_interval(est: BoundEstimate, alpha: float = 0.05) -> tuple[float, float]:

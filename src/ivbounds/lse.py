@@ -24,7 +24,8 @@ from .bounds import _LOWER, _UPPER, _candidates, _last
 # perfbench/spans.py, which traces them under this module's name too.
 from .bounds import theta_lower, theta_lower_linear, theta_upper, theta_upper_linear
 from .data import Dataset
-from .estimators import BoundEstimate, BoundKernel, _finish, psi_correction, z_quantile
+from .estimators import (BoundEstimate, BoundKernel, _by_blocks, _finish, psi_correction,
+                         z_quantile)
 
 __all__ = [
     "lse",
@@ -138,8 +139,10 @@ def lse_estimate(kernel: BoundKernel, config: LseConfig = LseConfig()) -> BoundE
 
 def lse_bounds(data: Dataset, lam1: np.ndarray, pi: np.ndarray,
                config: LseConfig = LseConfig()) -> BoundEstimate:
-    """Smooth one-step estimator of the bounds at the configured temperature."""
-    return lse_estimate(BoundKernel(data, lam1, pi), config)
+    """Smooth one-step estimator at the configured temperature of the full n."""
+    t = config.temperature(data.n)
+    return _by_blocks(data, lam1, pi, lambda k: _smooth_phi(k, t), "lse",
+                      {"t": t, "t_rule": config.rule})
 
 
 def conservative_interval(est: BoundEstimate, alpha: float = 0.05) -> tuple[float, float]:

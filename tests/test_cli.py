@@ -389,12 +389,87 @@ class TestOtherCommands:
         assert err["error"] == "invalid-config"
         assert "--delta" in err["message"]
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--n", "0"], "need n >= 2K observations"),
+        (["--n", "19", "--folds", "10"], "need n >= 2K observations"),
+        (["--folds", "1"], "need at least 2 folds"),
+    ])
+    def test_illustrate_checks_n_and_folds_before_drawing(self, monkeypatch, capsys,
+                                                          flags, message):
+        # --n 0 died with an uncaught IndexError once the data were drawn.
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done before --n and --folds were checked")
+        for name in ("illustration_truth", "width_comparison", "gen_illustration"):
+            monkeypatch.setattr(cli, name, no_work)
+        assert main(["illustrate", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "invalid-config", "message": message}
+
+    @pytest.mark.parametrize("flags", [["--laws", "0"], ["--laws", "-3"], ["--tol", "-1"],
+                                       ["--tol", "nan"], ["--tol", "inf"]])
+    def test_check_flags_checked_before_drawing(self, monkeypatch, capsys, flags):
+        # --laws 0 reported "ok": true having checked nothing, and --tol -1
+        # failed laws that pass.
+        def no_draws(*args, **kwargs):
+            raise AssertionError("laws drawn before the flags were checked")
+        monkeypatch.setattr(cli, "rng_stream", no_draws)
+        assert main(["check", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "invalid-config"
+        assert flags[0] in err["message"]
+
     def test_check_passes(self, capsys):
         rc = main(["check", "--laws", "50"])
         payload = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert payload["ok"] is True
         assert payload["max_lp_gap"] < 1e-8
+
+
+class TestOutputPaths:
+    """Output paths are checked before any load, fit or replicate, and an
+    output file is written only once its report is ready."""
+
+    COMMANDS = {
+        "bounds": ["bounds", "{csv}", *BOUNDS_ARGS, "--folds", "3", "--output", "{out}"],
+        "simulate-output": ["simulate", "--reps", "1", "--n-grid", "20",
+                            "--r-grid", "0.3", "--output", "{out}"],
+        "simulate-csv": ["simulate", "--reps", "1", "--n-grid", "20",
+                         "--r-grid", "0.3", "--csv", "{out}"],
+        "illustrate": ["illustrate", "--n", "200", "--folds", "2", "--output", "{out}"],
+    }
+
+    def run(self, command, csv, out):
+        return main([arg.format(csv=csv, out=out) for arg in self.COMMANDS[command]])
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_path_rejected_before_work(self, tmp_path, capsys, monkeypatch,
+                                                  command, where):
+        # simulate --csv ran the whole grid before failing to open its file.
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done before the output path was checked")
+        for name in ("load_csv", "cross_fit", "rmse_experiment", "gen_illustration"):
+            monkeypatch.setattr(cli, name, no_work)
+        out = tmp_path / "absent" / "r.out" if where == "missing directory" else tmp_path
+        assert self.run(command, tmp_path / "d.csv", out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "io-error"
+        assert str(out) in err["message"]
+
+    def test_failed_run_leaves_existing_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x1,x2,z,a,y\n0,0,2,0,0\n")
+        out = tmp_path / "report.json"
+        out.write_text("earlier report\n")
+        assert self.run("bounds", bad, out) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "non-binary"
+        assert out.read_text() == "earlier report\n"
 
 
 def test_import_does_not_load_scipy():

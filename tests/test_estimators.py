@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from ivbounds.bounds import (
 )
 from ivbounds.data import Dataset
 from ivbounds.estimators import (
+    ROW_BLOCK,
     BoundKernel,
     direct_bounds,
     plugin_bounds,
@@ -298,3 +301,63 @@ class TestKernelMatchesReference:
                          (lse_bounds(d, lam1, pi), lse_estimate(kernel))):
             assert (est.lower, est.upper, est.var_lower, est.var_upper) == (
                 ref.lower, ref.upper, ref.var_lower, ref.var_upper)
+
+
+class TestRowBlocks:
+    """The public estimators run the kernel one row block at a time and give
+    one whole-n kernel's estimate byte for byte, in a working set that grows
+    by far less per row."""
+
+    FIELDS = ("phi_lower", "phi_upper", "d_lower", "d_upper",
+              "lower", "upper", "var_lower", "var_upper")
+
+    @pytest.mark.parametrize("n", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
+                                   2 * ROW_BLOCK + 17])
+    @pytest.mark.parametrize("unit_weights", [True, False])
+    def test_equal_to_whole_kernel(self, n, unit_weights):
+        d, lam1, pi = TestInvariance.random_inputs(n, n, unit_weights)
+        kernel = BoundKernel(d, lam1, pi)
+        for est, ref in ((direct_bounds(d, lam1, pi), kernel.direct()),
+                         (plugin_bounds(d, lam1, pi), kernel.plugin()),
+                         (lse_bounds(d, lam1, pi), lse_estimate(kernel))):
+            for field in self.FIELDS:
+                got, want = np.asarray(getattr(est, field)), np.asarray(getattr(ref, field))
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), field
+                assert got.tobytes() == want.tobytes(), (est.method, field)
+            assert est.extra == ref.extra
+        assert lse_bounds(d, lam1, pi).extra["t"] == 100.0 * n ** 0.25  # the full n's
+
+    def test_stacked_nuisances_equal_to_whole_kernel(self):
+        n = ROW_BLOCK + 5
+        d, _, _ = TestInvariance.random_inputs(7, n, False)
+        rng = np.random.default_rng(7)
+        lam1 = rng.uniform(0.1, 0.9, (3, n))
+        pi = rng.dirichlet(np.ones(4), size=(3, n, 2)).swapaxes(-1, -2).reshape(3, n, 2, 2, 2)
+        kernel = BoundKernel(d, lam1, pi)
+        for est, ref in ((direct_bounds(d, lam1, pi), kernel.direct()),
+                         (lse_bounds(d, lam1, pi), lse_estimate(kernel))):
+            for field in self.FIELDS:
+                assert np.asarray(getattr(est, field)).tobytes() == np.asarray(
+                    getattr(ref, field)).tobytes(), (est.method, field)
+
+    @pytest.mark.parametrize("rows, pi_rows", [(50, 51), (51, 50)])
+    def test_row_count_mismatch_rejected(self, rows, pi_rows):
+        # A block loop over data.n rows would otherwise drop extra nuisance rows.
+        d, lam1, pi = TestInvariance.random_inputs(3, 51, True)
+        for estimator in (direct_bounds, plugin_bounds, lse_bounds):
+            with pytest.raises(ValueError, match="rows"):
+                estimator(d.subset(slice(0, rows)), lam1[:pi_rows], pi[:pi_rows])
+
+    def test_traced_peak_grows_little_per_row(self):
+        # The whole-n kernel kept about 500 traced bytes per row; the
+        # blocks keep the joined contributions, selectors and _finish's sums.
+        peaks = []
+        for n in (4 * ROW_BLOCK, 16 * ROW_BLOCK):
+            d, lam1, pi = TestInvariance.random_inputs(11, n, True)
+            tracemalloc.start()
+            try:
+                lse_bounds(d, lam1, pi)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / (12 * ROW_BLOCK) <= 96

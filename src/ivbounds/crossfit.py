@@ -105,7 +105,7 @@ def fit_propensity(data: Dataset, learner: LearnerSpec,
         def raw(x):
             return np.full(x.shape[0], c)
     else:
-        if len(np.unique(data.z)) < 2:
+        if data.z.all() or not data.z.any():  # z is in {0, 1}
             raise FitError("degenerate data: instrument takes a single value")
         clf = make_classifier(learner, 2).fit(data.x, data.z, data.w)
 
@@ -138,11 +138,11 @@ def fit_joint(data: Dataset, z: int, learner: LearnerSpec,
     """
     if not np.all((data.y == 0) | (data.y == 1)):
         raise FitError("joint cells need an outcome in {0, 1}")
-    arm = data.z == z
-    if not np.any(arm):
+    arm = np.flatnonzero(data.z == z)  # take is faster than a boolean mask here
+    if not len(arm):
         raise FitError(f"no observations in instrument arm z={z}")
-    fit_args = (data.x[arm], (2 * data.y[arm].astype(int) + data.a[arm]).astype(int),
-                data.w[arm])
+    fit_args = (data.x.take(arm, axis=0), 2 * data.y.take(arm).astype(int) + data.a.take(arm),
+                data.w.take(arm))
     if learner.name == "knn" and previous is not None and previous.learner == learner:
         return JointCells(learner, previous.classifier.relabel(*fit_args))
     return JointCells(learner, make_classifier(learner, 4).fit(*fit_args))
@@ -226,7 +226,7 @@ def cross_fit(data: Dataset, n_folds: int, pi_learner: LearnerSpec,
     lam1, joint = np.empty(data.n), []
     for k in range(n_folds):
         train = data.subset(np.flatnonzero(folds != k))
-        if len(np.unique(train.z)) < 2:
+        if train.z.all() or not train.z.any():
             raise FitError(f"fold {k}: training complement lacks an instrument arm")
         idx = np.flatnonzero(folds == k)
         lam1[idx] = fit_propensity(train, lambda_learner, eps)(data.x[idx])

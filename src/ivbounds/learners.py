@@ -48,21 +48,24 @@ class HistogramPartition:
     gain wins; a later feature wins only with a strictly greater gain, and
     no split is made unless the gain exceeds 1e-12.
 
-    ``fit`` argsorts each column once; a node holds one row order per
-    feature, and each child keeps its rows of the parent's orders, which
-    stay sorted (presorted CART: Breiman et al. 1984; SLIQ, Mehta et al.
-    1996).  A node's thresholds are read from its sorted columns by NumPy's
-    ``linear`` quantile rule (virtual index ``(m - 1) q``, then NumPy's
-    ``_lerp``), so they equal ``np.quantile`` bitwise.  A binary search of
-    each sorted column gives the rows left of every threshold; each row's
-    bin goes back to row order, and the class counts per bin are summed in
-    row order, as a fit on the unsorted rows sums them.  So the tree depends
-    on the sorted values alone, and the order ``np.argsort`` leaves ties in
-    does not matter.  All features of a node are scored in one pass over a
-    ``(d, m)`` stack of orders.  Repeated thresholds are kept: they only add
-    empty bins, which change no count, and the first of equal gains wins.
-    ``fit`` rejects non-finite covariates or weights with ``ValueError``,
-    and sorts nothing at depth 0 (the ``constant`` learner).
+    ``fit`` argsorts each column once.  A node carries, per feature, its
+    rows sorted by that feature, their values and, with unit weights, their
+    labels; a child takes its part of each (one ``take`` of the positions
+    ``np.flatnonzero`` finds on its side), so it stays sorted (presorted
+    CART: Breiman et al. 1984; SLIQ, Mehta et al. 1996).  Children at the
+    depth cap carry only their labels (and, with other weights, rows).  A
+    node's thresholds are read from its sorted columns by NumPy's ``linear``
+    quantile rule (virtual index ``(m - 1) q``, then NumPy's ``_lerp``), so
+    they equal ``np.quantile`` bitwise; -0.0 is stored as 0.0.  A binary
+    search of each sorted column gives the rows left of every threshold.
+    With unit weights one ``np.bincount`` of the sorted labels counts the
+    (bin, class) cells: integer counts are exact in any order.  Other
+    weights are summed in row order, as a fit on the unsorted rows sums
+    them.  So the order ``np.argsort`` leaves ties in (-0.0 and 0.0 among
+    them) does not change a bit of the tree.  Repeated thresholds are kept:
+    they only add empty bins, which change no count, and the first of equal
+    gains wins.  ``fit`` rejects non-finite covariates or weights with
+    ``ValueError``, and sorts nothing at depth 0 (the ``constant`` learner).
     """
 
     def __init__(self, n_classes: int, max_depth: int = 4, min_cell: int = 25,
@@ -114,24 +117,25 @@ class HistogramPartition:
         levels = np.linspace(0, 1, self.n_thresholds + 2)[1:-1]
         # Cell index offset of (feature j, bin b): (j * n_bins + b) * k.
         offsets = np.arange(d * n_bins) * k
-        Xt = np.ascontiguousarray(X.T)
-        cell_of = np.empty((d, n), dtype=np.intp)  # each row's offset, per feature
+        # Weights other than 1 are summed in row order, over a node's rows.
+        rows = None if np.all(w == 1) else np.arange(n)
+        cell_of = None if rows is None else np.empty((d, n), dtype=np.intp)
         is_left = np.empty(n, dtype=bool)
         self.tree_ = {}
-        # (node, its rows in row order, its rows sorted by each feature or
-        # None at the depth cap, depth)
-        stack = [(self.tree_, np.arange(n),
-                  np.argsort(Xt, axis=1) if self.max_depth > 0 else None, 0)]
+        order = np.argsort(X.T, axis=1) if self.max_depth > 0 else None
+        # (node, depth, labels (in row order if weighted), rows in row order
+        # or None, (rows, values, labels) sorted per feature or None at the cap)
+        stack = [(self.tree_, 0, labels, rows, None if order is None else (
+            order, np.take_along_axis(X.T, order, axis=1),
+            labels.take(order) if rows is None else None))]
         while stack:
-            node, rows, order, depth = stack.pop()
-            lab, wt = labels.take(rows), w.take(rows)
+            node, depth, lab, rows, sort = stack.pop()
+            wt = None if rows is None else w.take(rows)
             node.update(self._leaf(lab, wt))
-            m = len(rows)
+            m = len(lab)
             if depth >= self.max_depth or m < 2 * self.min_cell or d == 0:
                 continue
-            col = np.empty((d, m))
-            for j in range(d):
-                Xt[j].take(order[j], out=col[j])
+            order, col, slab = sort
             thr = self._quantiles(col, levels)
             thr.sort(axis=1)
             # bounds[j, i + 1] rows have feature j <= thr[j, i]; the rows
@@ -141,12 +145,14 @@ class HistogramPartition:
             for j in range(d):
                 bounds[j, 1:-1] = col[j].searchsorted(thr[j], side="right")
             edges = bounds[:, 1:-1]
-            sorted_cells = offsets.repeat((bounds[:, 1:] - bounds[:, :-1]).ravel())
-            for j in range(d):
-                cell_of[j, order[j]] = sorted_cells[j * m:(j + 1) * m]
-            cell = cell_of.take(rows, axis=1)
-            cell += lab
-            counts = np.bincount(cell.ravel(), weights=wt[None].repeat(d, axis=0).ravel(),
+            cell = offsets.repeat((bounds[:, 1:] - bounds[:, :-1]).ravel())
+            if rows is None:  # unit weights: integer counts, exact in any order
+                cell += slab.ravel()
+            else:  # each row's cell back in row order, to sum weights in it
+                np.put_along_axis(cell_of, order, cell.reshape(d, m), axis=1)
+                cell = cell_of.take(rows, axis=1)
+                cell += lab
+            counts = np.bincount(cell.ravel(), weights=None if wt is None else np.tile(wt, d),
                                  minlength=d * n_bins * k).reshape(d, n_bins, k)
             # Counts left of each threshold, and right of each in reverse.
             sides = np.empty((2, d, n_bins - 1, k))
@@ -161,19 +167,22 @@ class HistogramPartition:
             i = best[j]
             if not gain[j, i] > 1e-12:
                 continue
-            node.update(feature=j, threshold=thr[j, i], left={}, right={})
-            is_left[order[j, :edges[j, i]]] = True
-            is_left[order[j, edges[j, i]:]] = False
-            go = is_left.take(rows)
-            left_rows, right_rows = np.compress(go, rows), np.compress(~go, rows)
-            if depth + 1 < self.max_depth:
+            node.update(feature=j, threshold=thr[j, i] + 0.0, left={}, right={})  # no -0.0
+            e = edges[j, i]
+            is_left[order[j, :e]] = True
+            is_left[order[j, e:]] = False
+            if rows is None:  # the split feature's sorted labels, cut at e
+                kids = [[slab[j, :e], None, None], [slab[j, e:], None, None]]
+            else:
+                go = is_left.take(rows)
+                kids = [[np.compress(g, lab), np.compress(g, rows), None] for g in (go, ~go)]
+            if depth + 1 < self.max_depth:  # children at the cap carry no sorts
                 go = is_left.take(order).ravel()
-                left_order = np.compress(go, order).reshape(d, -1)
-                right_order = np.compress(~go, order).reshape(d, -1)
-            else:  # children at the depth cap are leaves and need no orders
-                left_order = right_order = None
-            stack.append((node["right"], right_rows, right_order, depth + 1))
-            stack.append((node["left"], left_rows, left_order, depth + 1))
+                for kid, g in zip(kids, (go, ~go)):
+                    g = np.flatnonzero(g)
+                    kid[2] = [a if a is None else a.take(g).reshape(d, -1) for a in sort]
+            stack.append((node["right"], depth + 1, *kids[1]))
+            stack.append((node["left"], depth + 1, *kids[0]))
         return self
 
     def predict_proba(self, X):
@@ -187,8 +196,8 @@ class HistogramPartition:
                 out[rows] = node["proba"]
                 continue
             left = X[rows, node["feature"]] <= node["threshold"]
-            stack.append((node["left"], rows[left]))
-            stack.append((node["right"], rows[~left]))
+            stack.append((node["left"], rows.take(np.flatnonzero(left))))
+            stack.append((node["right"], rows.take(np.flatnonzero(~left))))
         return out
 
 
@@ -242,7 +251,7 @@ class KnnFrequency:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         query, nbr = self.last_query_
         if query is None or not np.array_equal(X, query):
-            _, nbr = self.tree_.query(X, k=self.k_)
+            _, nbr = self.tree_.query(X, k=self.k_, workers=-1)
             nbr = nbr.reshape(X.shape[0], self.k_)  # k_ = 1 gives a flat result
             if self.keep_:
                 self.last_query_ = (X.copy(), nbr)

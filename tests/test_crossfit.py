@@ -126,6 +126,14 @@ class TestFitPropensity:
         with pytest.raises(FitError):
             fit_propensity(flat, parse_learner_spec("constant"))
 
+    @pytest.mark.parametrize("value", [0, 1])
+    @pytest.mark.parametrize("spec", ["histogram", "softmax", "knn:5"])
+    def test_single_valued_instrument(self, spec, value):
+        d = toy_data()
+        flat = Dataset(x=d.x, z=np.full(d.n, value), a=d.a, y=d.y)
+        with pytest.raises(FitError, match="instrument takes a single value"):
+            fit_propensity(flat, parse_learner_spec(spec))
+
 
 class TestFitJoint:
     def test_cell_probabilities_normalize(self):
@@ -193,6 +201,16 @@ class TestCrossFit:
                       parse_learner_spec("constant"), seed=9)
         np.testing.assert_array_equal(a.folds, b.folds)
         np.testing.assert_allclose(*(n.evaluate(d)[0] for n in (a, b)))
+
+    @pytest.mark.parametrize("in_fold", [0, 1])
+    def test_fold_complement_lacking_an_arm(self, in_fold):
+        # z = in_fold exactly on fold 1's rows: fold 1's complement has one arm.
+        d = toy_data(40)
+        folds = fold_assignment(rng_stream(3, 0).random(d.n), 4)
+        z = np.where(folds == 1, in_fold, 1 - in_fold)
+        with pytest.raises(FitError, match="fold 1: training complement lacks an instrument arm"):
+            cross_fit(Dataset(x=d.x, z=z, a=d.a, y=d.y), 4, parse_learner_spec("histogram"),
+                      parse_learner_spec("histogram"), seed=3)
 
     def test_too_few_rows(self):
         with pytest.raises(ValueError):

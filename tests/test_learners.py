@@ -148,6 +148,14 @@ def assert_same_tree(got, want):
         assert_same_tree(got["right"], want["right"])
 
 
+def tree_bytes(node):
+    """The tree's splits and leaf probabilities as bytes, depth first."""
+    if "feature" not in node:
+        return node["proba"].tobytes()
+    return b"".join([b"threshold", np.array([node["feature"], node["threshold"]]).tobytes(),
+                     tree_bytes(node["left"]), tree_bytes(node["right"])])
+
+
 def check_split_search(X, labels, w, n_classes, min_cell=25):
     model = HistogramPartition(n_classes, min_cell=min_cell)
     want = reference_build(model, X, labels, w)
@@ -300,6 +308,44 @@ class TestPresortedSplitSearch:
             np.zeros((60, 0)), np.arange(60) % 2, np.ones(60))
         assert set(model.tree_) == {"proba"}
 
+    @pytest.mark.parametrize("weights", ["unit", "integer", "real"])
+    @pytest.mark.parametrize("column", ["binary", "rounded"])
+    def test_trees_do_not_depend_on_the_order_of_ties(self, monkeypatch, column, weights):
+        # np.argsort leaves ties first in ascending, then in descending row
+        # order.  Unit weights are counted as integers, exact in any order,
+        # and other weights are summed in row order, so the bytes agree.
+        # The second column is the first plus a jitter, and the binary
+        # column has 8 * 200 + 1 zeros in 17 * 200 + 1 rows, so the
+        # jittered copy's middle threshold cuts exactly where the binary
+        # column does: the two gains are equal only if the rows' weights
+        # are summed in the same order for both columns.
+        real_argsort, calls = np.argsort, []
+
+        def ties_ascending(a, axis=-1):
+            calls.append(a.shape)
+            return real_argsort(a, axis=axis, kind="stable")
+
+        def ties_descending(a, axis=-1):
+            calls.append(a.shape)
+            a = np.asarray(a)
+            return a.shape[axis] - 1 - real_argsort(np.flip(a, axis), axis=axis, kind="stable")
+
+        n = 17 * 200 + 1
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            c = (rng.permutation(n) >= 8 * 200 + 1 if column == "binary"
+                 else np.round(rng.standard_normal(n), 1))  # many ties, and -0.0
+            X = np.column_stack([c, c + 1e-3 * rng.random(n)])
+            labels = 2 * (rng.random(n) < 0.3 + 0.4 * np.clip(c, 0, 1)) + rng.integers(0, 2, n)
+            w = make_weights(rng, weights, n)
+            trees = []
+            for fake in (ties_ascending, ties_descending, real_argsort):
+                monkeypatch.setattr(np, "argsort", fake)
+                model = HistogramPartition(4, min_cell=5).fit(X, labels, w)
+                trees.append(tree_bytes(model.tree_))
+            assert trees[0] == trees[1] == trees[2]
+            assert trees[0].count(b"threshold") >= 7
+        assert calls == [(2, n)] * 16
 
 class TestKnnFrequency:
     def test_local_frequencies(self):
@@ -349,6 +395,18 @@ class TestKnnFrequency:
         other = query[::-1] + 0.25
         assert (relabelled.predict_proba(other).tobytes()
                 == fresh.predict_proba(other).tobytes())
+
+    @pytest.mark.parametrize("grid", [2, 4, 16])
+    def test_neighbours_do_not_depend_on_query_threads(self, grid):
+        # A lattice gives duplicate rows and distance ties; each point's
+        # neighbours are searched alone, so the thread count cannot move them.
+        rng = np.random.default_rng(grid)
+        x = np.round(rng.random((3000, 2)) * grid)
+        query = np.round(rng.random((5000, 2)) * grid)
+        model = KnnFrequency(4, k=50).fit(x, rng.integers(0, 4, 3000), np.ones(3000))
+        model.keep_neighbours().predict_proba(query)
+        _, want = model.tree_.query(query, k=50, workers=1)
+        assert model.last_query_[1].tobytes() == want.tobytes()
 
     def test_relabel_rejects_other_rows(self):
         rng = np.random.default_rng(6)

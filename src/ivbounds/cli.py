@@ -163,7 +163,7 @@ def _cmd_bounds(args) -> int:
         lse_config.temperature(1)  # a fixed rule without a positive --t fails here
     pi_spec = parse_learner_spec(args.learner_pi)
     lam_spec = parse_learner_spec(args.learner_lambda)
-    check_cross_fit_settings(args.folds, lam_spec, args.eps)
+    check_cross_fit_settings(args.folds, pi_spec, lam_spec, args.eps)
     if args.method == "continuous" and args.m < 1:
         raise ValueError("m must be at least 1")
     outcome_kind = "bounded-continuous" if args.method == "continuous" else "binary"
@@ -220,7 +220,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_illustrate(args) -> int:
     pi_spec = parse_learner_spec(args.learner_pi)
     lam_spec = parse_learner_spec(args.learner_lambda)
-    check_cross_fit_settings(args.folds, lam_spec, n=args.n)
+    check_cross_fit_settings(args.folds, pi_spec, lam_spec, n=args.n)
     truth = illustration_truth(appendix_compat=args.appendix_f_compat)
     widths = width_comparison(args.appendix_f_compat)
     data = gen_illustration(args.n, args.seed, args.appendix_f_compat)

@@ -10,14 +10,15 @@ and the one-step bound estimates average the candidate expressions
 evaluated at pi + c, selecting per row the candidate that is extreme at
 the plug-in pi.
 
-``BoundKernel`` computes what the direct, plug-in and smooth estimators
+``BoundKernel`` computes what the direct, plug-in and smooth contributions
 share, once, on the cell-major layout of ``bounds``: pi is checked and laid
 out as eight cell columns when the kernel starts, the candidates at pi with
 their extremes and selectors follow, and c is built as cell columns on first
 use.  Leading axes on lam1 and pi stack independent nuisances on the same
 rows (``simulation`` stacks noise rates); every estimate field gains them.
-The public estimators join the per-row values of one kernel per ``ROW_BLOCK``
-rows; each kernel step is row-wise, so the bits are a whole-n kernel's.
+Every estimate is finished once, by ``_finish`` over the per-row values of
+one kernel per ``ROW_BLOCK`` rows; each kernel step is row-wise, so the
+block size moves no bit.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ class BoundKernel:
     """Per-row pieces shared by the estimators at nuisances (lam1, pi): the
     cell columns of pi, the candidate columns (8, ...) at them (``cand_l``,
     ``cand_u``) with their extremes and 1-based selectors, and, on first
-    use, the correction c."""
+    use, the correction's cell columns ``c``; ``_by_blocks`` runs one per block."""
 
     def __init__(self, data: Dataset, lam1: np.ndarray, pi: np.ndarray):
         self.data, self.lam1 = data, lam1
@@ -150,24 +151,13 @@ class BoundKernel:
 
     @functools.cached_property
     def c(self) -> np.ndarray:
-        """The correction (..., n, 2, 2, 2), a view of its cell columns."""
-        return psi_correction(self.data, self.lam1, _rows(self.cells))
-
-    @functools.cached_property
-    def c_cells(self) -> np.ndarray:
-        return _cells(self.c, check=False)  # no copy: c is a view of cell columns
+        """The correction as cell columns (8, ...), read without a copy."""
+        return _cells(psi_correction(self.data, self.lam1, _rows(self.cells)), check=False)
 
     def direct_phi(self) -> tuple[np.ndarray, np.ndarray]:
-        corrected = self.cells + self.c_cells  # rows pick their candidates at pi + c
+        corrected = self.cells + self.c  # rows pick their candidates at pi + c
         return (_select(_candidates(corrected, _LOWER), self.d_l),
                 _select(_candidates(corrected, _UPPER), self.d_u))
-
-    def direct(self) -> BoundEstimate:
-        return _finish(self.data, *self.direct_phi(), self.d_l, self.d_u, "direct", {})
-
-    def plugin(self) -> BoundEstimate:
-        return _finish(self.data, self.gamma_l, self.gamma_u, self.d_l, self.d_u,
-                       "plugin", {})
 
 
 ROW_BLOCK = 8192  # rows per kernel: its eight candidate columns (512 KiB) stay in L2
@@ -190,7 +180,7 @@ def _by_blocks(data: Dataset, lam1, pi, phi, method: str, extra: dict) -> BoundE
 
 def direct_bounds(data: Dataset, lam1: np.ndarray, pi: np.ndarray) -> BoundEstimate:
     """One-step estimator selecting the plug-in maximizer/minimizer per row."""
-    return _by_blocks(data, lam1, pi, BoundKernel.direct_phi, "direct", {})
+    return _by_blocks(data, lam1, pi, lambda k: k.direct_phi(), "direct", {})
 
 
 def plugin_bounds(data: Dataset, lam1: np.ndarray, pi: np.ndarray) -> BoundEstimate:

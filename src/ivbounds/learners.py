@@ -1,7 +1,8 @@
 """Built-in nuisance learners.
 
 All classifiers share the interface ``fit(X, labels, w)`` /
-``predict_proba(X) -> (n, k)`` with rows on the k-simplex.  Frequency-based
+``predict_proba(X) -> (n, k)`` with rows on the k-simplex; ``fit`` rejects
+a label outside {0, ..., k - 1} with ``ValueError``.  Frequency-based
 learners apply Laplace smoothing so no predicted cell is exactly 0 or 1.
 The ``constant`` learner is a ``HistogramPartition`` of depth 0.
 """
@@ -29,6 +30,14 @@ LAPLACE_ALPHA = 1.0
 
 class FitError(RuntimeError):
     pass
+
+
+def _labels(labels, n_classes: int) -> np.ndarray:
+    """``labels`` as an array; ``ValueError`` unless each lies in {0, ..., n_classes - 1}."""
+    labels = np.asarray(labels)
+    if not np.all((labels >= 0) & (labels < n_classes)):
+        raise ValueError(f"labels must lie in {{0, ..., {n_classes - 1}}}")
+    return labels
 
 
 @dataclass(frozen=True)
@@ -108,7 +117,7 @@ class HistogramPartition:
 
     def fit(self, X, labels, w):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        labels = np.asarray(labels)
+        labels = _labels(labels, self.n_classes)
         w = np.asarray(w, dtype=float)
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(w))):
             raise ValueError("histogram fit needs finite covariates and weights")
@@ -221,8 +230,8 @@ class KnnFrequency:
     def fit(self, X, labels, w):
         from scipy.spatial import cKDTree  # scipy takes ~0.45 s to import; only knn uses it
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        self.labels_ = _labels(labels, self.n_classes)
         self.tree_ = cKDTree(X)
-        self.labels_ = np.asarray(labels)
         self.w_ = np.asarray(w, dtype=float)
         self.k_ = min(self.k, X.shape[0])
         self.keep_ = False
@@ -239,7 +248,7 @@ class KnnFrequency:
         """A copy fitted with ``labels`` on the training rows and weights of
         this fit, which ``X`` and ``w`` must equal."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        labels = np.asarray(labels)
+        labels = _labels(labels, self.n_classes)
         if not (labels.shape == self.labels_.shape and np.array_equal(X, self.tree_.data)
                 and np.array_equal(np.asarray(w, dtype=float), self.w_)):
             raise ValueError("relabel needs the rows and weights of the fit")
@@ -322,7 +331,7 @@ class SoftmaxRegression:
 
     def fit(self, X, labels, w):
         phi = self._design(X)
-        labels = np.asarray(labels)
+        labels = _labels(labels, self.n_classes)
         w = np.asarray(w, dtype=float)
         w = w / w.mean()
         onehot = np.eye(self.n_classes)[labels]

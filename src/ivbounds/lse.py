@@ -9,7 +9,8 @@ each side to cover the smoothing bias.
 The kernel works on candidate columns (k, ...), the layout of ``bounds``:
 the max, the exponentials, the tie count and the sums are column chains,
 and the sums of eight columns keep NumPy's pairwise order.  ``lse`` and
-``lse_grad`` take and return the last-axis layout.
+``lse_grad`` take and return the last-axis layout.  ``lse_bounds`` finishes
+``_smooth_phi``'s per-row values over row blocks, as ``estimators`` does.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from .bounds import _LOWER, _UPPER, _candidates, _last
 # perfbench/spans.py, which traces them under this module's name too.
 from .bounds import theta_lower, theta_lower_linear, theta_upper, theta_upper_linear
 from .data import Dataset
-from .estimators import (BoundEstimate, BoundKernel, _by_blocks, _finish, psi_correction,
-                         z_quantile)
+from .estimators import BoundEstimate, BoundKernel, _by_blocks, psi_correction, z_quantile
 
 __all__ = [
     "lse",
@@ -33,7 +33,6 @@ __all__ = [
     "lse_hess",
     "LseConfig",
     "lse_bounds",
-    "lse_estimate",
     "conservative_interval",
 ]
 
@@ -121,20 +120,13 @@ def _smooth_phi(kernel: BoundKernel, t) -> tuple[np.ndarray, np.ndarray]:
     c, at temperature ``t`` (a float, or one per leading index, shaped to
     broadcast against one candidate column).  The lower side smooths the
     candidates, the upper side their negatives, whose max is -gamma_u."""
-    c = kernel.c_cells
+    c = kernel.c
     part, grad = _lse_gap(kernel.cand_l - kernel.gamma_l, t)
     grad *= _candidates(c, _LOWER, linear=True)
     phi_l = (kernel.gamma_l + part) + _column_sum(grad)
     part, grad = _lse_gap(kernel.gamma_u - kernel.cand_u, t)
     grad *= _candidates(c, _UPPER, linear=True)
     return phi_l, -(-kernel.gamma_u + part) + _column_sum(grad)
-
-
-def lse_estimate(kernel: BoundKernel, config: LseConfig = LseConfig()) -> BoundEstimate:
-    """Smooth one-step estimate: each row's lse plus its softmax-weighted c."""
-    t = config.temperature(kernel.data.n)
-    return _finish(kernel.data, *_smooth_phi(kernel, t), kernel.d_l, kernel.d_u, "lse",
-                   {"t": t, "t_rule": config.rule})
 
 
 def lse_bounds(data: Dataset, lam1: np.ndarray, pi: np.ndarray,

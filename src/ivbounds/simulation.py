@@ -20,10 +20,10 @@ import numpy as np
 from .bounds import theta_profile
 from .crossfit import ClosedFormNuisance, oracle_noisy_nuisance, rng_stream
 from .data import Dataset
-# direct_bounds, plugin_bounds and lse_bounds are imported only for
-# perfbench/spans.py, which traces them under this module's name.
+# plugin_bounds is imported only for perfbench/spans.py, which traces it
+# under this module's name.
 from .estimators import BoundKernel, _mean, direct_bounds, plugin_bounds, wald_interval
-from .lse import LseConfig, _smooth_phi, conservative_interval, lse_bounds, lse_estimate
+from .lse import LseConfig, _smooth_phi, conservative_interval, lse_bounds
 
 __all__ = [
     "gen_margin",
@@ -253,12 +253,11 @@ def coverage_experiment(n: int, reps: int, r: float, seed: int,
     hit_direct = hit_lse = 0
     for rep in range(reps):
         data = gen_margin(n, seed, rep)
-        noise = oracle_noisy_nuisance(truth, n, r, h, seed, rep)
-        kernel = BoundKernel(data, *noise.evaluate(data))
-        lo, hi = wald_interval(kernel.direct(), alpha)
+        lam1, pi = oracle_noisy_nuisance(truth, n, r, h, seed, rep).evaluate(data)
+        lo, hi = wald_interval(direct_bounds(data, lam1, pi), alpha)
         hit_direct += lo <= 0.0 <= hi
         lo, hi = conservative_interval(
-            lse_estimate(kernel, LseConfig("simulation", h=h, r=r)), alpha)
+            lse_bounds(data, lam1, pi, LseConfig("simulation", h=h, r=r)), alpha)
         hit_lse += lo <= 0.0 <= hi
     return {"n": n, "reps": reps, "r": r,
             "coverage_direct": hit_direct / reps,

@@ -406,6 +406,22 @@ class TestOtherCommands:
         assert captured.out == ""
         assert json.loads(captured.err) == {"error": "invalid-config", "message": message}
 
+    @pytest.mark.parametrize("command", [
+        ["bounds", "d.csv", *BOUNDS_ARGS], ["illustrate", "--n", "200", "--folds", "2"]])
+    def test_known_joint_cells_rejected_before_work(self, monkeypatch, capsys, command):
+        # bounds loaded the CSV and fitted fold 0's propensity, and illustrate
+        # computed the truth and drew its data, before "known" failed.
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done before --learner-pi was checked")
+        for name in ("load_csv", "illustration_truth", "width_comparison",
+                     "gen_illustration"):
+            monkeypatch.setattr(cli, name, no_work)
+        assert main([*command, "--learner-pi", "known:0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "invalid-config", "message": "no classifier for learner 'known'"}
+
     @pytest.mark.parametrize("flags", [["--laws", "0"], ["--laws", "-3"], ["--tol", "-1"],
                                        ["--tol", "nan"], ["--tol", "inf"]])
     def test_check_flags_checked_before_drawing(self, monkeypatch, capsys, flags):

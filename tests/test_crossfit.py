@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ivbounds.crossfit as crossfit
 from ivbounds.crossfit import (
     ClosedFormNuisance,
     cross_fit,
@@ -215,6 +216,14 @@ class TestCrossFit:
     def test_too_few_rows(self):
         with pytest.raises(ValueError):
             cross_fit(toy_data(8), 5, parse_learner_spec("constant"),
+                      parse_learner_spec("constant"), seed=0)
+
+    def test_joint_spec_without_classifier_rejected_before_fits(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the joint-cell spec was checked")
+        monkeypatch.setattr(crossfit, "fit_propensity", no_fit)
+        with pytest.raises(ValueError, match="no classifier for learner 'known'"):
+            cross_fit(toy_data(), 2, parse_learner_spec("known:0.5"),
                       parse_learner_spec("constant"), seed=0)
 
     @pytest.mark.parametrize("keep", [True, False])

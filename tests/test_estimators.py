@@ -17,13 +17,14 @@ from ivbounds.data import Dataset
 from ivbounds.estimators import (
     ROW_BLOCK,
     BoundKernel,
+    _finish,
     direct_bounds,
     plugin_bounds,
     psi_correction,
     wald_interval,
     z_quantile,
 )
-from ivbounds.lse import LseConfig, lse, lse_bounds, lse_estimate, lse_grad
+from ivbounds.lse import LseConfig, _smooth_phi, lse, lse_bounds, lse_grad
 from ivbounds.simulation import gen_margin, margin_truth
 
 
@@ -247,14 +248,14 @@ def reference_estimates(data, lam1, pi, t):
 
 
 class TestKernelMatchesReference:
-    """The kernel's readers give bit-for-bit the contributions of the
+    """The public estimators give bit-for-bit the contributions of the
     estimators that built everything themselves."""
 
     def check(self, data, lam1, pi, t=25.0):
         ref, d_l, d_u = reference_estimates(data, lam1, pi, t)
-        kernel = BoundKernel(data, lam1, pi)
-        for name, est in (("direct", kernel.direct()), ("plugin", kernel.plugin()),
-                          ("lse", lse_estimate(kernel, LseConfig("fixed", t=t)))):
+        for name, est in (("direct", direct_bounds(data, lam1, pi)),
+                          ("plugin", plugin_bounds(data, lam1, pi)),
+                          ("lse", lse_bounds(data, lam1, pi, LseConfig("fixed", t=t)))):
             assert est.method == name
             assert est.phi_lower.tobytes() == ref[name][0].tobytes(), name
             assert est.phi_upper.tobytes() == ref[name][1].tobytes(), name
@@ -286,27 +287,17 @@ class TestKernelMatchesReference:
                             lambda *a: calls.append(1) or psi_correction(*a))
         d = gen_margin(200, 3)
         kernel = BoundKernel(d, *margin_truth().evaluate(d))
-        kernel.plugin()
         assert calls == []
-        kernel.direct()
-        lse_estimate(kernel)
-        kernel.direct()
+        kernel.direct_phi()
+        _smooth_phi(kernel, 25.0)
+        kernel.direct_phi()
         assert calls == [1]
-
-    def test_public_estimators_read_the_kernel(self):
-        d, lam1, pi = TestInvariance.random_inputs(5, 60, False)
-        kernel = BoundKernel(d, lam1, pi)
-        for est, ref in ((direct_bounds(d, lam1, pi), kernel.direct()),
-                         (plugin_bounds(d, lam1, pi), kernel.plugin()),
-                         (lse_bounds(d, lam1, pi), lse_estimate(kernel))):
-            assert (est.lower, est.upper, est.var_lower, est.var_upper) == (
-                ref.lower, ref.upper, ref.var_lower, ref.var_upper)
 
 
 class TestRowBlocks:
     """The public estimators run the kernel one row block at a time and give
-    one whole-n kernel's estimate byte for byte, in a working set that grows
-    by far less per row."""
+    byte for byte the estimate finished over the reference's whole-n
+    contributions, in a working set that grows by far less per row."""
 
     FIELDS = ("phi_lower", "phi_upper", "d_lower", "d_upper",
               "lower", "upper", "var_lower", "var_upper")
@@ -316,16 +307,16 @@ class TestRowBlocks:
     @pytest.mark.parametrize("unit_weights", [True, False])
     def test_equal_to_whole_kernel(self, n, unit_weights):
         d, lam1, pi = TestInvariance.random_inputs(n, n, unit_weights)
-        kernel = BoundKernel(d, lam1, pi)
-        for est, ref in ((direct_bounds(d, lam1, pi), kernel.direct()),
-                         (plugin_bounds(d, lam1, pi), kernel.plugin()),
-                         (lse_bounds(d, lam1, pi), lse_estimate(kernel))):
+        t = 100.0 * n ** 0.25  # the full n's
+        phi, d_l, d_u = reference_estimates(d, lam1, pi, t)
+        for est, extra in ((direct_bounds(d, lam1, pi), {}), (plugin_bounds(d, lam1, pi), {}),
+                           (lse_bounds(d, lam1, pi), {"t": t, "t_rule": "data-analysis"})):
+            ref = _finish(d, *phi[est.method], d_l, d_u, est.method, extra)
             for field in self.FIELDS:
                 got, want = np.asarray(getattr(est, field)), np.asarray(getattr(ref, field))
                 assert (got.dtype, got.shape) == (want.dtype, want.shape), field
                 assert got.tobytes() == want.tobytes(), (est.method, field)
             assert est.extra == ref.extra
-        assert lse_bounds(d, lam1, pi).extra["t"] == 100.0 * n ** 0.25  # the full n's
 
     def test_stacked_nuisances_equal_to_whole_kernel(self):
         n = ROW_BLOCK + 5
@@ -334,8 +325,10 @@ class TestRowBlocks:
         lam1 = rng.uniform(0.1, 0.9, (3, n))
         pi = rng.dirichlet(np.ones(4), size=(3, n, 2)).swapaxes(-1, -2).reshape(3, n, 2, 2, 2)
         kernel = BoundKernel(d, lam1, pi)
-        for est, ref in ((direct_bounds(d, lam1, pi), kernel.direct()),
-                         (lse_bounds(d, lam1, pi), lse_estimate(kernel))):
+        t = 100.0 * n ** 0.25
+        for est, phi in ((direct_bounds(d, lam1, pi), kernel.direct_phi()),
+                         (lse_bounds(d, lam1, pi), _smooth_phi(kernel, t))):
+            ref = _finish(d, *phi, kernel.d_l, kernel.d_u, est.method, est.extra)
             for field in self.FIELDS:
                 assert np.asarray(getattr(est, field)).tobytes() == np.asarray(
                     getattr(ref, field)).tobytes(), (est.method, field)

@@ -537,6 +537,31 @@ class TestFactory:
         simplex_rows(p)
 
 
+class TestLabelRange:
+    """A label outside {0, ..., n_classes - 1} fails the fit: it was counted
+    in a class of its own, counted as class 0 of the next cell, dropped from
+    knn's counts, or read as the last class."""
+
+    @pytest.mark.parametrize("spec", ["constant", "histogram", "knn:5", "softmax"])
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_fit_rejects(self, spec, bad):
+        rng = np.random.default_rng(6)
+        x, labels = rng.random((200, 2)), rng.integers(0, 2, 200)
+        labels[17] = bad
+        clf = make_classifier(parse_learner_spec(spec), 2)
+        with pytest.raises(ValueError, match="labels must lie in"):
+            clf.fit(x, labels, np.ones(200))
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_relabel_rejects(self, bad):
+        rng = np.random.default_rng(7)
+        x, labels = rng.random((50, 2)), rng.integers(0, 2, 50)
+        knn = KnnFrequency(2, k=5).fit(x, labels, np.ones(50))
+        labels[3] = bad
+        with pytest.raises(ValueError, match="labels must lie in"):
+            knn.relabel(x, labels, np.ones(50))
+
+
 class TestDegenerateInputs:
     """Every learner returns rows on the simplex on degenerate training data."""
 

@@ -271,8 +271,9 @@ def reference_coverage(n, reps, r, seed, h=MARGIN_H, alpha=0.05):
 
 @pytest.mark.parametrize("seed", [0, 4, 2**32 - 1])
 class TestSharedKernelMatchesReference:
-    """One kernel per replicate and one draw per (n, rep) give exactly the
-    numbers of the per-(n, r, rep) loops."""
+    """The RMSE experiment's stacked kernel over rates and one draw per
+    (n, rep) give exactly the numbers of per-(n, r, rep) loops over the
+    public estimators; the coverage experiment is such a loop."""
 
     @pytest.mark.parametrize("n_grid, r_grid, reps", [
         ([60, 400], [0.1, 0.25, 0.5], 3),

@@ -13,7 +13,9 @@ Two data-generating processes:
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -181,7 +183,10 @@ def illustration_truth(appendix_compat: bool = False) -> dict:
 # Experiments.  Replicate ``rep`` of master seed ``seed`` draws its data and
 # its nuisance noise from the stream paths (seed, 10, rep) and (seed, 1, rep),
 # so distinct seeds never share a replicate.  Neither depends on the rate r,
-# which only rescales the noise, so each (n, rep) is drawn once.
+# which only rescales the noise, so each (n, rep) is drawn once.  Only floats
+# leave a replicate, so replicates run on worker processes and each
+# experiment aggregates them in a fixed order: reports do not depend on the
+# number of workers.
 
 def _check_design(n_grid, r_grid, reps: int) -> None:
     """Raise before any replicate runs if a setting would fail in one."""
@@ -209,6 +214,49 @@ def _bounds_by_rate(data, noise, logits, rates, h: float) -> list[dict]:
             for i in range(len(rates))]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS and Windows have no sched_getaffinity
+        return os.cpu_count() or 1
+
+
+def _run_replicates(fn, tasks: list[tuple[int, int]]) -> list:
+    """``fn(n, rep)`` for each task, results in task order, on forked worker processes.
+
+    One worker per usable CPU, at most one per task.  Forked workers inherit
+    the imported modules and the allocator policy, so only ``fn``'s settings,
+    the tasks and the results are pickled.  Tasks are submitted largest n first, so the costliest
+    ones do not start last.  Leaving the ``with`` block joins every worker,
+    whether the call returns or raises.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(min(_usable_cpus(), len(tasks)),
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = {i: pool.submit(fn, *tasks[i])
+                   for i in sorted(range(len(tasks)), key=lambda i: -tasks[i][0])}
+        try:
+            return [futures[i].result() for i in range(len(tasks))]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)  # do not run what is still queued
+            raise
+
+
+def _rmse_replicate(n: int, rep: int, *, r_grid, chunk_rows: int, seed: int,
+                    h: float) -> list[dict]:
+    """Per rate, (lower, upper) of each estimator on replicate ``rep`` at ``n``,
+    its rates run in chunks of at most ``chunk_rows`` rows."""
+    data = gen_margin(n, seed, rep)
+    noise = oracle_noisy_nuisance(margin_truth(), n, r_grid[0], h, seed, rep)
+    logits = noise.truth_logits(data)  # checked once, rescaled per r
+    per_chunk = chunk_rows // n
+    return [b for lo in range(0, len(r_grid), per_chunk)
+            for b in _bounds_by_rate(data, noise, logits, r_grid[lo:lo + per_chunk], h)]
+
+
 def rmse_experiment(n_grid, r_grid, reps: int, seed: int,
                     h: float = MARGIN_H) -> list[dict]:
     """RMSE of direct, smooth, and plug-in estimators on the margin design.
@@ -221,22 +269,15 @@ def rmse_experiment(n_grid, r_grid, reps: int, seed: int,
     single-rate kernel.
     """
     _check_design(n_grid, r_grid, reps)
-    truth = margin_truth()
+    replicate = partial(_rmse_replicate, r_grid=r_grid, chunk_rows=max(n_grid),
+                        seed=seed, h=h)
+    errs = _run_replicates(replicate, [(n, rep) for n in n_grid for rep in range(reps)])
     rows = []
-    for n in n_grid:
-        per_chunk = max(n_grid) // n
-        errs = []  # per rep, one dict of (lower, upper) per rate
-        for rep in range(reps):
-            data = gen_margin(n, seed, rep)
-            noise = oracle_noisy_nuisance(truth, n, r_grid[0], h, seed, rep)
-            logits = noise.truth_logits(data)  # checked once, rescaled per r
-            errs.append([b for lo in range(0, len(r_grid), per_chunk)
-                         for b in _bounds_by_rate(data, noise, logits,
-                                                  r_grid[lo:lo + per_chunk], h)])
+    for k, n in enumerate(n_grid):
         for i, r in enumerate(r_grid):
             row = {"n": n, "r": r, "reps": reps}
             for name in ("direct", "lse", "plugin"):
-                arr = np.asarray([e[i][name] for e in errs])
+                arr = np.asarray([e[i][name] for e in errs[k * reps:(k + 1) * reps]])
                 row[f"rmse_lower_{name}"] = float(np.sqrt(np.mean(arr[:, 0] ** 2)))
                 row[f"rmse_upper_{name}"] = float(np.sqrt(np.mean(arr[:, 1] ** 2)))
                 row[f"bias_lower_{name}"] = float(np.mean(arr[:, 0]))
@@ -245,20 +286,25 @@ def rmse_experiment(n_grid, r_grid, reps: int, seed: int,
     return rows
 
 
+def _coverage_replicate(n: int, rep: int, *, r: float, seed: int, h: float,
+                        alpha: float) -> tuple[int, int]:
+    """Whether the direct and the smoothed-conservative CI of replicate ``rep``
+    cover 0, as 0 or 1 each."""
+    data = gen_margin(n, seed, rep)
+    lam1, pi = oracle_noisy_nuisance(margin_truth(), n, r, h, seed, rep).evaluate(data)
+    lo, hi = wald_interval(direct_bounds(data, lam1, pi), alpha)
+    lo_s, hi_s = conservative_interval(
+        lse_bounds(data, lam1, pi, LseConfig("simulation", h=h, r=r)), alpha)
+    return int(lo <= 0.0 <= hi), int(lo_s <= 0.0 <= hi_s)
+
+
 def coverage_experiment(n: int, reps: int, r: float, seed: int,
                         h: float = MARGIN_H, alpha: float = 0.05) -> dict:
     """Coverage of [L, U] = [0, 0] by the direct and smoothed-conservative CIs."""
     _check_design([n], [r], reps)
-    truth = margin_truth()
-    hit_direct = hit_lse = 0
-    for rep in range(reps):
-        data = gen_margin(n, seed, rep)
-        lam1, pi = oracle_noisy_nuisance(truth, n, r, h, seed, rep).evaluate(data)
-        lo, hi = wald_interval(direct_bounds(data, lam1, pi), alpha)
-        hit_direct += lo <= 0.0 <= hi
-        lo, hi = conservative_interval(
-            lse_bounds(data, lam1, pi, LseConfig("simulation", h=h, r=r)), alpha)
-        hit_lse += lo <= 0.0 <= hi
+    replicate = partial(_coverage_replicate, r=r, seed=seed, h=h, alpha=alpha)
+    hits = _run_replicates(replicate, [(n, rep) for rep in range(reps)])
+    hit_direct, hit_lse = (sum(col) for col in zip(*hits))
     return {"n": n, "reps": reps, "r": r,
             "coverage_direct": hit_direct / reps,
             "coverage_lse": hit_lse / reps}

@@ -501,15 +501,48 @@ def test_import_does_not_load_scipy():
     assert out.split("\n")[:2] == ["False", "(10, 2)"]
 
 
+def test_import_does_not_load_multiprocessing():
+    # Only simulate's replicate pool uses multiprocessing.
+    out = run_fresh(
+        "import os, sys\n"
+        "import ivbounds.cli\n"
+        "print('multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)\n"
+        "ivbounds.cli.main(['simulate', '--reps', '1', '--n-grid', '20',\n"
+        "                   '--output', os.devnull])\n"
+        "print('multiprocessing' in sys.modules)\n")
+    assert out.split("\n")[:2] == ["False False", "True"]
+
+
 class TestAllocatorPolicy:
+    # With glibc's default trimming each bound kernel or softmax fit
+    # page-faults its temporaries in again.  simulate forks its replicate
+    # workers, so the parent's count holds copy-on-write faults from each
+    # fork; the workers' faults and the parent's are checked apart.
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt only")
     def test_second_simulate_reuses_freed_heap(self):
-        # With glibc's default trimming each bound kernel page-faults its
-        # temporaries in again: about 11k minor faults per --reps 2.
+        # The workers' faults that grow with the replicates: about 55k
+        # between --reps 2 and --reps 10 without the policy.
         faults = int(run_fresh(
             "import os, resource\n"
             "from ivbounds.cli import main\n"
-            "argv = ['simulate', '--reps', '2', '--seed', '3', '--output', os.devnull]\n"
+            "argv = lambda reps: ['simulate', '--reps', reps, '--seed', '3',\n"
+            "                     '--output', os.devnull]\n"
+            "flt = lambda: resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt\n"
+            "main(argv('2')); main(argv('10'))\n"
+            "a = flt(); main(argv('2'))\n"
+            "b = flt(); main(argv('10'))\n"
+            "print((flt() - b) - (b - a))\n"))
+        assert faults < 1000
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt only")
+    def test_second_bounds_reuses_freed_heap(self, tmp_path):
+        # About 44k faults without the policy, most of them softmax's.
+        csv = write_illustration_csv(tmp_path / "d.csv", n=20_000)
+        argv = ["bounds", str(csv), *BOUNDS_ARGS, "--learner-pi", "softmax"]
+        faults = int(run_fresh(
+            "import os, resource\n"
+            "from ivbounds.cli import main\n"
+            f"argv = {argv!r} + ['--output', os.devnull]\n"
             "main(argv)\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
             "main(argv)\n"

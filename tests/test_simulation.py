@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -202,7 +203,12 @@ class TestExperiments:
     ], ids=["rmse", "coverage"])
     def test_seeds_share_no_replicate(self, experiment, monkeypatch):
         # Replicate streams once sat at seed + 1000 * rep, so replicate 1 of
-        # seed 4 was replicate 0 of seed 1004.
+        # seed 4 was replicate 0 of seed 1004.  Draws made on a worker process
+        # are not seen here, so the replicates are run here in turn, and the
+        # rows they give must be the pooled rows.
+        pooled = [experiment(2, 4), experiment(1, 1004)]
+        monkeypatch.setattr(simulation, "_run_replicates",
+                            lambda fn, tasks: [fn(*task) for task in tasks])
         drawn = []
 
         def recording(fn):
@@ -212,12 +218,42 @@ class TestExperiments:
             return recorded
         for name in ("gen_margin", "oracle_noisy_nuisance"):
             monkeypatch.setattr(simulation, name, recording(getattr(simulation, name)))
-        experiment(2, 4)
-        experiment(1, 1004)
+        assert [experiment(2, 4), experiment(1, 1004)] == pooled
         assert len(drawn) == 6  # (data, nuisances) per replicate
         (_, _, data_4, noise_4, data_1004, noise_1004) = drawn
         assert not np.array_equal(data_4.x, data_1004.x)
         assert noise_4.eps_lambda != noise_1004.eps_lambda
+
+    def test_coverage_fields_are_floats(self):
+        out = coverage_experiment(500, reps=40, r=0.3, seed=2)
+        assert (out["coverage_direct"], out["coverage_lse"]) == (0.95, 1.0)
+        assert type(out["coverage_direct"]) is float and type(out["coverage_lse"]) is float
+
+
+class TestReplicatePool:
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_worker_count_changes_no_number(self, cpus, monkeypatch):
+        monkeypatch.setattr(simulation, "_usable_cpus", lambda: cpus)
+        assert rmse_experiment([60, 400], [0.1, 0.5], 3, 4) == reference_rmse(
+            [60, 400], [0.1, 0.5], 3, 4)
+        assert coverage_experiment(80, 5, 0.3, 4) == reference_coverage(80, 5, 0.3, 4)
+
+    @pytest.mark.parametrize("experiment", [
+        lambda: rmse_experiment([50, 100], [0.3], 3, 0),
+        lambda: coverage_experiment(50, 3, 0.3, 0),
+    ], ids=["rmse", "coverage"])
+    def test_replicate_error_reaches_caller(self, experiment, monkeypatch):
+        def boom(*args):
+            raise ValueError("boom")
+        monkeypatch.setattr(simulation, "gen_margin", boom)
+        with pytest.raises(ValueError, match="^boom$"):
+            experiment()
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_return(self):
+        rmse_experiment([50, 100], [0.3], 3, 0)
+        coverage_experiment(50, 3, 0.3, 0)
+        assert multiprocessing.active_children() == []
 
 
 def reference_replicate(truth, n, r, h, seed, rep):
@@ -324,10 +360,11 @@ class TestDesignChecks:
         ["--seed", "-1"],
     ])
     def test_simulate_exits_2_before_any_replicate(self, flags, capsys, monkeypatch):
-        calls = []
-        monkeypatch.setattr(simulation, "gen_margin",
-                            lambda *a: calls.append(a) or gen_margin(*a))
+        # A replicate runs on a worker process, so it announces itself by an
+        # exception the CLI does not catch rather than by a call recorded here.
+        def replicate_ran(*args):
+            raise AssertionError("a replicate ran")
+        monkeypatch.setattr(simulation, "gen_margin", replicate_ran)
         assert main(["simulate", "--reps", "1", "--n-grid", "20", *flags]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "invalid-config"
-        assert calls == []

@@ -135,9 +135,8 @@ def _first_extreme(cands: np.ndarray, extreme) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _select(cands: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Each row's candidate at its 1-based ``index``, by one flat take."""
-    rows = np.arange(index.size).reshape(index.shape)
-    return np.take(cands, (index - 1) * index.size + rows)
+    """Each row's candidate at its 1-based ``index`` (rows,), by one flat take."""
+    return np.take(cands, (index - 1) * index.size + np.arange(index.size))
 
 
 def _profile(cells: np.ndarray):

@@ -14,11 +14,11 @@ the plug-in pi.
 share, once, on the cell-major layout of ``bounds``: pi is checked and laid
 out as eight cell columns when the kernel starts, the candidates at pi with
 their extremes and selectors follow, and c is built as cell columns on first
-use.  Leading axes on lam1 and pi stack independent nuisances on the same
-rows (``simulation`` stacks noise rates); every estimate field gains them.
-Every estimate is finished once, by ``_finish`` over the per-row values of
-one kernel per ``ROW_BLOCK`` rows; each kernel step is row-wise, so the
-block size moves no bit.
+use.  One block loop, ``_by_blocks``, runs every kernel: one per
+``ROW_BLOCK`` rows, whose per-row values it joins.  Each kernel step is
+row-wise, so the block size moves no bit.  Every estimate is finished once,
+by ``_finish`` over the joined values; ``simulation`` stacks its noise rates
+on the rows of a tiled dataset and takes each rate's means from one loop.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ def z_quantile(alpha: float) -> float:
 
 
 def psi_correction(data: Dataset, lam1: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Per-observation correction array of shape (..., n, 2, 2, 2) for lam1
-    of shape (..., n) and pi of shape (..., n, 2, 2, 2)."""
+    """Per-observation correction array of shape (n, 2, 2, 2) for lam1 of
+    shape (n,) and pi of shape (n, 2, 2, 2)."""
     if not np.all((data.y == 0.0) | (data.y == 1.0)):
         raise ValueError("the correction needs an outcome in {0, 1}")
     cells, lam1, z = _cells(pi, check=False), np.asarray(lam1, dtype=float), data.z
@@ -66,8 +66,7 @@ def psi_correction(data: Dataset, lam1: np.ndarray, pi: np.ndarray) -> np.ndarra
     np.copyto(inv_lam[1], own, where=z == 1)
     observed = np.zeros((4, data.n))  # per (y, a) = cell // 2: 1(y_i = y, a_i = a)
     observed[2 * data.y.astype(int) + data.a, np.arange(data.n)] = 1.0
-    lead = (1,) * (cells.ndim - 2)
-    c = observed.reshape((4, 1) + lead + (data.n,)) - cells.reshape((4, 2) + cells.shape[1:])
+    c = observed.reshape(4, 1, data.n) - cells.reshape(4, 2, data.n)
     c *= inv_lam
     return _rows(c.reshape(cells.shape))
 
@@ -118,22 +117,17 @@ def _mean(w: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def _finish(data, lower_phi, upper_phi, d_l, d_u, method, extra) -> BoundEstimate:
-    """The estimate from per-row contributions; leading axes of the
-    contributions carry into the point estimates and variances."""
+    """The estimate from per-row contributions."""
     w = data.normalized_weights()
-    lhat, uhat = _mean(w, lower_phi), _mean(w, upper_phi)
-    var_l = np.sum(w * (lower_phi - np.expand_dims(lhat, -1)) ** 2, axis=-1)
-    var_u = np.sum(w * (upper_phi - np.expand_dims(uhat, -1)) ** 2, axis=-1)
-    crossed = lhat > uhat
-    if np.ndim(lhat) == 0:
-        lhat, uhat, var_l, var_u, crossed = (float(lhat), float(uhat), float(var_l),
-                                             float(var_u), bool(crossed))
+    lhat, uhat = float(_mean(w, lower_phi)), float(_mean(w, upper_phi))
     return BoundEstimate(
-        lower=lhat, upper=uhat, var_lower=var_l, var_upper=var_u,
+        lower=lhat, upper=uhat,
+        var_lower=float(_mean(w, (lower_phi - lhat) ** 2)),
+        var_upper=float(_mean(w, (upper_phi - uhat) ** 2)),
         n=data.n, method=method,
         phi_lower=lower_phi, phi_upper=upper_phi,
         d_lower=d_l, d_upper=d_u,
-        crossed=crossed, extra=extra,
+        crossed=lhat > uhat, extra=extra,
     )
 
 
@@ -163,29 +157,33 @@ class BoundKernel:
 ROW_BLOCK = 8192  # rows per kernel: its eight candidate columns (512 KiB) stay in L2
 
 
-def _by_blocks(data: Dataset, lam1, pi, phi, method: str, extra: dict) -> BoundEstimate:
-    """The estimate from ``phi(kernel)``'s per-row contributions of one kernel per
-    block of at most ``ROW_BLOCK`` rows, joined with the selectors and finished once."""
+def _by_blocks(data: Dataset, lam1, pi, phi) -> list[np.ndarray]:
+    """The per-row arrays of ``phi(kernel, rows)``, from one kernel per block
+    ``rows`` of at most ``ROW_BLOCK`` rows, joined over the blocks."""
     lam1, pi = np.asarray(lam1, dtype=float), np.asarray(pi, dtype=float)
-    if pi.shape[-4:] != (data.n, 2, 2, 2) or lam1.shape[-1:] != (data.n,):
-        raise ValueError(f"lam1 {lam1.shape} and pi {pi.shape} need {data.n} rows")
-    joined = [np.empty(pi.shape[:-3], dtype) for dtype in (float, float, int, int)]
+    if not data.n or lam1.shape != (data.n,) or pi.shape != (data.n, 2, 2, 2):
+        raise ValueError(f"lam1 {lam1.shape} and pi {pi.shape} need the data's {data.n} "
+                         "rows, and the data at least one")
+    joined = []
     for lo in range(0, data.n, ROW_BLOCK):
         rows = slice(lo, lo + ROW_BLOCK)
-        kernel = BoundKernel(data.subset(rows), lam1[..., rows], pi[..., rows, :, :, :])
-        for full, part in zip(joined, (*phi(kernel), kernel.d_l, kernel.d_u)):
-            full[..., rows] = part
-    return _finish(data, *joined, method, extra)
+        parts = phi(BoundKernel(data.subset(rows), lam1[rows], pi[rows]), rows)
+        joined = joined or [np.empty(data.n, part.dtype) for part in parts]
+        for full, part in zip(joined, parts):
+            full[rows] = part
+    return joined
 
 
 def direct_bounds(data: Dataset, lam1: np.ndarray, pi: np.ndarray) -> BoundEstimate:
     """One-step estimator selecting the plug-in maximizer/minimizer per row."""
-    return _by_blocks(data, lam1, pi, lambda k: k.direct_phi(), "direct", {})
+    return _finish(data, *_by_blocks(data, lam1, pi, lambda k, rows: (
+        *k.direct_phi(), k.d_l, k.d_u)), "direct", {})
 
 
 def plugin_bounds(data: Dataset, lam1: np.ndarray, pi: np.ndarray) -> BoundEstimate:
     """Sample average of the row-wise extreme candidates at the plug-in pi."""
-    return _by_blocks(data, lam1, pi, lambda k: (k.gamma_l, k.gamma_u), "plugin", {})
+    return _finish(data, *_by_blocks(data, lam1, pi, lambda k, rows: (
+        k.gamma_l, k.gamma_u, k.d_l, k.d_u)), "plugin", {})
 
 
 def wald_interval(est: BoundEstimate, alpha: float = 0.05) -> tuple[float, float]:

@@ -10,7 +10,7 @@ The kernel works on candidate columns (k, ...), the layout of ``bounds``:
 the max, the exponentials, the tie count and the sums are column chains,
 and the sums of eight columns keep NumPy's pairwise order.  ``lse`` and
 ``lse_grad`` take and return the last-axis layout.  ``lse_bounds`` finishes
-``_smooth_phi``'s per-row values over row blocks, as ``estimators`` does.
+``_smooth_phi``'s per-row values from ``estimators``' block loop.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .bounds import _LOWER, _UPPER, _candidates, _last
 # perfbench/spans.py, which traces them under this module's name too.
 from .bounds import theta_lower, theta_lower_linear, theta_upper, theta_upper_linear
 from .data import Dataset
-from .estimators import BoundEstimate, BoundKernel, _by_blocks, psi_correction, z_quantile
+from .estimators import BoundEstimate, BoundKernel, _by_blocks, _finish, psi_correction, z_quantile
 
 __all__ = [
     "lse",
@@ -117,9 +117,9 @@ class LseConfig:
 
 def _smooth_phi(kernel: BoundKernel, t) -> tuple[np.ndarray, np.ndarray]:
     """Per-row smooth contributions: each row's lse plus its softmax-weighted
-    c, at temperature ``t`` (a float, or one per leading index, shaped to
-    broadcast against one candidate column).  The lower side smooths the
-    candidates, the upper side their negatives, whose max is -gamma_u."""
+    c, at temperature ``t`` (a float, or one per row of the kernel).  The
+    lower side smooths the candidates, the upper side their negatives, whose
+    max is -gamma_u."""
     c = kernel.c
     part, grad = _lse_gap(kernel.cand_l - kernel.gamma_l, t)
     grad *= _candidates(c, _LOWER, linear=True)
@@ -133,8 +133,8 @@ def lse_bounds(data: Dataset, lam1: np.ndarray, pi: np.ndarray,
                config: LseConfig = LseConfig()) -> BoundEstimate:
     """Smooth one-step estimator at the configured temperature of the full n."""
     t = config.temperature(data.n)
-    return _by_blocks(data, lam1, pi, lambda k: _smooth_phi(k, t), "lse",
-                      {"t": t, "t_rule": config.rule})
+    return _finish(data, *_by_blocks(data, lam1, pi, lambda k, rows: (
+        *_smooth_phi(k, t), k.d_l, k.d_u)), "lse", {"t": t, "t_rule": config.rule})
 
 
 def conservative_interval(est: BoundEstimate, alpha: float = 0.05) -> tuple[float, float]:

@@ -24,7 +24,7 @@ from .crossfit import ClosedFormNuisance, oracle_noisy_nuisance, rng_stream
 from .data import Dataset
 # plugin_bounds is imported only for perfbench/spans.py, which traces it
 # under this module's name.
-from .estimators import BoundKernel, _mean, direct_bounds, plugin_bounds, wald_interval
+from .estimators import _by_blocks, _mean, direct_bounds, plugin_bounds, wald_interval
 from .lse import LseConfig, _smooth_phi, conservative_interval, lse_bounds
 
 __all__ = [
@@ -198,20 +198,20 @@ def _check_design(n_grid, r_grid, reps: int) -> None:
 
 def _bounds_by_rate(data, noise, logits, rates, h: float) -> list[dict]:
     """Per rate, (lower, upper) of the direct, smooth and plug-in estimates,
-    read from one kernel over the rates stacked on a leading axis.  Only
-    floats leave, so no kernel's arrays outlive it while the next chunk's
-    are built."""
-    lam1, pi = zip(*(replace(noise, scale=h * data.n ** (-r)).shift(logits)
-                     for r in rates))
-    kernel = BoundKernel(data, np.stack(lam1), np.stack(pi))
-    del lam1, pi
-    t = np.array([[LseConfig("simulation", h=h, r=r).temperature(data.n)] for r in rates])
+    from one block loop over the rates stacked on rows: row ``i * n + j`` is
+    row j at rate i.  Only floats leave, so no stacked array outlives the
+    chunk while the next chunk's are built."""
+    n = data.n
+    lam1, pi = (np.concatenate(parts) for parts in zip(
+        *(replace(noise, scale=h * n ** (-r)).shift(logits) for r in rates)))
+    t = np.repeat([LseConfig("simulation", h=h, r=r).temperature(n) for r in rates], n)
+    phi = _by_blocks(data.subset(np.tile(np.arange(n), len(rates))), lam1, pi,
+                     lambda k, rows: (*k.direct_phi(), k.gamma_l, k.gamma_u,
+                                      *_smooth_phi(k, t[rows])))
     w = data.normalized_weights()
-    means = {m: (_mean(w, lower), _mean(w, upper)) for m, (lower, upper) in (
-        ("direct", kernel.direct_phi()), ("plugin", (kernel.gamma_l, kernel.gamma_u)),
-        ("lse", _smooth_phi(kernel, t)))}
-    return [{m: (float(lower[i]), float(upper[i])) for m, (lower, upper) in means.items()}
-            for i in range(len(rates))]
+    means = [_mean(w, p.reshape(len(rates), n)) for p in phi]
+    return [{m: (float(means[2 * j][i]), float(means[2 * j + 1][i]))
+             for j, m in enumerate(("direct", "plugin", "lse"))} for i in range(len(rates))]
 
 
 def _usable_cpus() -> int:
@@ -223,19 +223,21 @@ def _usable_cpus() -> int:
 
 
 def _run_replicates(fn, tasks: list[tuple[int, int]]) -> list:
-    """``fn(n, rep)`` for each task, results in task order, on forked worker processes.
+    """``fn(n, rep)`` for each task, results in task order, on worker processes.
 
-    One worker per usable CPU, at most one per task.  Forked workers inherit
-    the imported modules and the allocator policy, so only ``fn``'s settings,
-    the tasks and the results are pickled.  Tasks are submitted largest n first, so the costliest
-    ones do not start last.  Leaving the ``with`` block joins every worker,
-    whether the call returns or raises.
+    One worker per usable CPU, at most one per task.  Workers are forked where
+    the platform has fork, so they inherit the imported modules and the
+    allocator policy; elsewhere they start by its default method.  Only ``fn``'s
+    settings, the tasks and the results are pickled.  Tasks are submitted
+    largest n first, so the costliest ones do not start last.  Leaving the
+    ``with`` block joins every worker, whether the call returns or raises.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(min(_usable_cpus(), len(tasks)),
-                             mp_context=multiprocessing.get_context("fork")) as pool:
+    methods = multiprocessing.get_all_start_methods()  # the first is the default
+    context = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
+    with ProcessPoolExecutor(min(_usable_cpus(), len(tasks)), mp_context=context) as pool:
         futures = {i: pool.submit(fn, *tasks[i])
                    for i in sorted(range(len(tasks)), key=lambda i: -tasks[i][0])}
         try:
@@ -264,9 +266,9 @@ def rmse_experiment(n_grid, r_grid, reps: int, seed: int,
     Nuisances are the closed-form truth perturbed on the logit scale by one
     N(h n^-r, h^2 n^-2r) draw per function, giving nuisance error of order
     n^-r.  True lower and upper bounds are both 0.  Rows are in (n, r) order.
-    Each (n, rep) runs its rates in chunks of at most max(n_grid) rows, so
-    small n shares one kernel across rates and no chunk outgrows the largest
-    single-rate kernel.
+    Each (n, rep) stacks its rates on rows in chunks of at most max(n_grid)
+    rows, so small n shares one block loop across rates and no chunk's
+    nuisances outgrow those of the largest single-rate run.
     """
     _check_design(n_grid, r_grid, reps)
     replicate = partial(_rmse_replicate, r_grid=r_grid, chunk_rows=max(n_grid),

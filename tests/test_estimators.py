@@ -318,28 +318,18 @@ class TestRowBlocks:
                 assert got.tobytes() == want.tobytes(), (est.method, field)
             assert est.extra == ref.extra
 
-    def test_stacked_nuisances_equal_to_whole_kernel(self):
-        n = ROW_BLOCK + 5
-        d, _, _ = TestInvariance.random_inputs(7, n, False)
-        rng = np.random.default_rng(7)
-        lam1 = rng.uniform(0.1, 0.9, (3, n))
-        pi = rng.dirichlet(np.ones(4), size=(3, n, 2)).swapaxes(-1, -2).reshape(3, n, 2, 2, 2)
-        kernel = BoundKernel(d, lam1, pi)
-        t = 100.0 * n ** 0.25
-        for est, phi in ((direct_bounds(d, lam1, pi), kernel.direct_phi()),
-                         (lse_bounds(d, lam1, pi), _smooth_phi(kernel, t))):
-            ref = _finish(d, *phi, kernel.d_l, kernel.d_u, est.method, est.extra)
-            for field in self.FIELDS:
-                assert np.asarray(getattr(est, field)).tobytes() == np.asarray(
-                    getattr(ref, field)).tobytes(), (est.method, field)
-
-    @pytest.mark.parametrize("rows, pi_rows", [(50, 51), (51, 50)])
-    def test_row_count_mismatch_rejected(self, rows, pi_rows):
-        # A block loop over data.n rows would otherwise drop extra nuisance rows.
+    @pytest.mark.parametrize("rows, pi_rows, lead", [
+        pytest.param(50, 51, (), id="50-51"), pytest.param(51, 50, (), id="51-50"),
+        pytest.param(51, 51, (3,), id="leading-axis"), pytest.param(0, 0, (), id="no-rows")])
+    def test_row_count_mismatch_rejected(self, rows, pi_rows, lead):
+        # A block loop over data.n rows would otherwise drop extra nuisance
+        # rows, take nuisances stacked on a leading axis for rows, or finish
+        # an estimate of no rows as 0.
         d, lam1, pi = TestInvariance.random_inputs(3, 51, True)
+        lam1, pi = (np.broadcast_to(v[:pi_rows], lead + v[:pi_rows].shape) for v in (lam1, pi))
         for estimator in (direct_bounds, plugin_bounds, lse_bounds):
             with pytest.raises(ValueError, match="rows"):
-                estimator(d.subset(slice(0, rows)), lam1[:pi_rows], pi[:pi_rows])
+                estimator(d.subset(slice(0, rows)), lam1, pi)
 
     def test_traced_peak_grows_little_per_row(self):
         # The whole-n kernel kept about 500 traced bytes per row; the

@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import ivbounds.simulation as simulation
 from ivbounds.bounds import theta_profile
 from ivbounds.cli import main
 from ivbounds.crossfit import oracle_noisy_nuisance
-from ivbounds.estimators import direct_bounds, plugin_bounds, wald_interval
+from ivbounds.estimators import ROW_BLOCK, direct_bounds, plugin_bounds, wald_interval
 from ivbounds.lse import LseConfig, conservative_interval, lse_bounds
 from ivbounds.simulation import (
     _ILLU_BETA,
@@ -250,6 +251,19 @@ class TestReplicatePool:
             experiment()
         assert multiprocessing.active_children() == []
 
+    def test_default_start_method_without_fork(self, monkeypatch):
+        # Where the platform has no fork, workers start by its default method
+        # (the first listed) and import the package afresh.
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        methods, get_context = [], multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method=None: methods.append(method) or get_context(method))
+        assert rmse_experiment([60, 400], [0.1, 0.5], 3, 4) == reference_rmse(
+            [60, 400], [0.1, 0.5], 3, 4)
+        assert coverage_experiment(80, 5, 0.3, 4) == reference_coverage(80, 5, 0.3, 4)
+        assert methods == ["spawn", "spawn"]
+        assert multiprocessing.active_children() == []
+
     def test_no_worker_outlives_a_return(self):
         rmse_experiment([50, 100], [0.3], 3, 0)
         coverage_experiment(50, 3, 0.3, 0)
@@ -307,7 +321,7 @@ def reference_coverage(n, reps, r, seed, h=MARGIN_H, alpha=0.05):
 
 @pytest.mark.parametrize("seed", [0, 4, 2**32 - 1])
 class TestSharedKernelMatchesReference:
-    """The RMSE experiment's stacked kernel over rates and one draw per
+    """The RMSE experiment's rates stacked on rows and one draw per
     (n, rep) give exactly the numbers of per-(n, r, rep) loops over the
     public estimators; the coverage experiment is such a loop."""
 
@@ -327,15 +341,33 @@ class TestSharedKernelMatchesReference:
 
 @pytest.mark.parametrize("seed", [0, 9])
 def test_stacked_rates_change_no_number(seed):
-    # At n = 500 all nine rates share one chunk of 4,500 rows; at n = 5000
-    # each rate is a chunk of its own.  Run one rate at a time, n alone sets
-    # the chunk, so every rate gets a kernel of its own.
+    # Rates are stacked on rows in chunks of at most max(n_grid) rows.  In
+    # [500, 5000], n = 500 runs all nine rates as one chunk of 4,500 rows and
+    # n = 5000 each rate as a chunk of its own.  In [3000, 9000], n = 3000
+    # runs three rates per chunk of 9,000 rows, across a ROW_BLOCK boundary.
+    # Run one rate at a time, n alone sets the chunk, so no rows are shared.
     r_grid = [round(0.10 + 0.05 * k, 2) for k in range(9)]
-    stacked = rmse_experiment([500, 5000], r_grid, reps=2, seed=seed)
-    alone = [rmse_experiment([n], [r], reps=2, seed=seed)[0]
-             for n in (500, 5000) for r in r_grid]
-    bits = [{k: np.float64(v).tobytes() for k, v in row.items()} for row in stacked]
-    assert bits == [{k: np.float64(v).tobytes() for k, v in row.items()} for row in alone]
+    for n_grid in ([500, 5000], [3000, 9000]):
+        stacked = rmse_experiment(n_grid, r_grid, reps=2, seed=seed)
+        alone = [rmse_experiment([n], [r], reps=2, seed=seed)[0]
+                 for n in n_grid for r in r_grid]
+        bits = [{k: np.float64(v).tobytes() for k, v in row.items()} for row in stacked]
+        assert bits == [{k: np.float64(v).tobytes() for k, v in row.items()}
+                        for row in alone], n_grid
+
+
+def test_replicate_traced_peak_grows_little_per_row():
+    # One rate's nuisances, its tiled rows and the block loop's joined
+    # contributions; a whole-chunk kernel kept about 625 traced bytes per row.
+    peaks = []
+    for n in (4 * ROW_BLOCK, 16 * ROW_BLOCK):
+        tracemalloc.start()
+        try:
+            simulation._rmse_replicate(n, 0, r_grid=[0.3], chunk_rows=n, seed=0, h=MARGIN_H)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / (12 * ROW_BLOCK) <= 400
 
 
 class TestDesignChecks:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import check_sharpness
-from .continuous import continuous_bounds
+from .continuous import OutcomeTransform, continuous_bounds
 from .crossfit import (DEFAULT_EPS, DEFAULT_FOLDS, check_cross_fit_settings, cross_fit,
                        rng_stream)
 from .data import ColumnMapping, LoadError, load_csv
@@ -170,19 +170,11 @@ def _cmd_bounds(args) -> int:
     data = load_csv(args.input, mapping, outcome_kind)
 
     if args.method == "continuous":
-        # The folds and the out-of-fold propensity ignore the outcome, so only
-        # the first replicate cross-fits; later ones refit the joint cells
-        # alone, and knn arms answer their folds with its neighbours.
-        folded = None
-
-        def factory(aug):
-            nonlocal folded
-            if folded is None:
-                folded = cross_fit(aug, args.folds, pi_spec, lam_spec,
-                                   args.seed, args.eps)
-                return folded.keep_neighbours() if args.m > 1 else folded
-            return folded.refit_joint(aug)
-        est = continuous_bounds(data, factory, args.m, args.seed)
+        transform = OutcomeTransform.from_data(data.y)  # a constant outcome fails before any fit
+        nuis = cross_fit(data, args.folds, pi_spec, lam_spec, args.seed, args.eps)
+        if args.m > 1:  # later replicates recount over the neighbours the first found
+            nuis.keep_neighbours()
+        est = continuous_bounds(data, nuis, args.m, args.seed, transform=transform)
         interval = wald_interval(est, args.delta)
         diagnostics = {"outcome_scale": est.extra["scale"]}
     else:

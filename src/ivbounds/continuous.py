@@ -50,18 +50,20 @@ def threshold_mean_estimate(t_values: np.ndarray, m: int, seed: int) -> float:
 
 @dataclass(frozen=True)
 class OutcomeTransform:
-    """Affine map of a bounded outcome onto [0, 1]."""
+    """Affine map of a bounded outcome onto [0, 1]; the range must be positive."""
 
     low: float
     high: float
+
+    def __post_init__(self):
+        if not self.high > self.low:
+            raise ValueError("outcome range must be positive")
 
     @property
     def range(self) -> float:
         return self.high - self.low
 
     def to_unit(self, y: np.ndarray) -> np.ndarray:
-        if self.range <= 0:
-            raise ValueError("outcome range must be positive")
         return (np.asarray(y, dtype=float) - self.low) / self.range
 
     @classmethod
@@ -94,16 +96,17 @@ def _estimate(data, nuisances, method, lse_config):
     return direct_bounds(data, lam1, pi)
 
 
-def continuous_bounds(data: Dataset, nuisance_factory, m: int, seed: int,
+def continuous_bounds(data: Dataset, nuisances, m: int, seed: int,
                       method: str = "direct",
                       lse_config: LseConfig = LseConfig(),
                       transform: OutcomeTransform | None = None) -> BoundEstimate:
     """ATE bounds for a bounded outcome, averaging m threshold replicates.
 
-    ``nuisance_factory(aug)`` must return an evaluator (with an
-    ``evaluate(dataset)`` method) for the pseudo-outcome dataset ``aug``;
-    the CLI cross-fits on the first replicate only and refits the joint
-    cells on later ones (``FoldedNuisances.refit_joint``).
+    ``nuisances.evaluate(aug)`` is called once per replicate's pseudo-outcome
+    dataset ``aug``, which differs from ``data`` in its outcome alone.  A
+    ``FoldedNuisances`` from one ``cross_fit`` of ``data`` keeps its folds and
+    propensity, which do not read the outcome, and fits the joint cells of
+    each pseudo-outcome.
     Point estimates and per-row influence values are averaged across
     replicates before the variance is formed, so the reported variance
     reflects the dichotomization-noise reduction from larger m.
@@ -116,7 +119,7 @@ def continuous_bounds(data: Dataset, nuisance_factory, m: int, seed: int,
     acc_u = np.zeros(data.n)
     for rep in range(m):
         aug = augment(data, transform, seed, rep)
-        est = _estimate(aug, nuisance_factory(aug), method, lse_config)
+        est = _estimate(aug, nuisances, method, lse_config)
         # Pseudo-outcome bounds sandwich E[1 - Y(a)]; negate and swap so the
         # accumulators track the ATE of the unit-scale outcome.
         acc_l += -est.phi_upper

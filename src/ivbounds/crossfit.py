@@ -5,9 +5,12 @@ with ``lam1[i] = P(Z=1 | x_i)`` and ``pi[i, y, a, z] = P(Y=y, A=a | x_i, Z=z)``.
 Fitted nuisances are plain predictors: ``fit_propensity`` returns
 ``x -> lam1`` truncated into [eps, 1-eps] and ``fit_joint`` returns
 ``x -> (n, 2, 2)`` cells of one instrument arm (a ``JointCells``, which
-keeps its learner for a later refit).  ``cross_fit`` fits both per fold
-and returns a ``FoldedNuisances``: the out-of-fold lam1 and each fold's
-joint cells.
+keeps its learner for a later refit).  The cross-fit is split where the
+outcome enters: ``cross_fit`` draws the folds and predicts the out-of-fold
+lam1, neither of which reads the outcome, and its ``FoldedNuisances`` fits
+each fold's joint cells for the outcome of the data it evaluates.  So the
+pseudo-outcomes of continuous mode, which differ in y alone, share one
+cross-fit.
 
 Randomness uses the Philox counter-based generator.  Streams are split by
 seeding ``SeedSequence`` with an explicit path of integers (master seed,
@@ -17,7 +20,7 @@ own documented stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -152,56 +155,51 @@ def fit_joint(data: Dataset, z: int, learner: LearnerSpec,
 
 @dataclass
 class FoldedNuisances:
-    """Per-fold joint-cell predictors, each fitted on its fold's complement,
-    and the out-of-fold propensity ``cross_fit`` predicted."""
+    """The folds and out-of-fold propensity ``cross_fit`` predicted, and the
+    joint cells of the outcome last evaluated.
 
-    folds: np.ndarray                           # (n,) fold index per row, 0..K-1
-    lam1: np.ndarray = field(repr=False)        # (n,) out-of-fold lam1, read-only
-    joint: list[tuple[JointCells, JointCells]]  # per fold: (z=0, z=1) cells
+    ``evaluate`` fits each fold's two arms on the fold's complement for its
+    data's outcome, handing each arm its cells from the previous call (see
+    ``fit_joint``), and keeps them for the next call.
+    """
+
+    folds: np.ndarray                        # (n,) fold index per row, 0..K-1
+    lam1: np.ndarray = field(repr=False)     # (n,) out-of-fold lam1, read-only
+    pi_learner: LearnerSpec
+    joint: list[tuple]                       # per fold: (z=0, z=1) cells, None unfitted
     descriptor: dict
     fitted_on: Dataset = field(repr=False)
-
-    def _check_rows(self, data: Dataset) -> None:
-        """Raise unless ``data`` has the fitted rows' x, z and w; y may differ."""
-        ref = self.fitted_on
-        if data.n != ref.n or not all(
-                np.array_equal(a, b) for a, b in
-                ((data.x, ref.x), (data.z, ref.z), (data.w, ref.w))):
-            raise ValueError("dataset differs from the rows the folds were fitted on")
-
-    def refit_joint(self, data: Dataset) -> "FoldedNuisances":
-        """Copy with every fold's joint cells refit on ``data``, which may
-        differ from the fitted rows in its outcome alone; the folds and
-        ``lam1`` are shared.  Each arm refits by its own learner from its
-        current cells (see ``fit_joint``), so a knn arm reuses the neighbours
-        it kept after ``keep_neighbours``, with no search."""
-        self._check_rows(data)
-        joint = []
-        for k, arms in enumerate(self.joint):
-            train = data.subset(np.flatnonzero(self.folds != k))
-            joint.append(tuple(fit_joint(train, z, cells.learner, cells)
-                               for z, cells in enumerate(arms)))
-        return replace(self, joint=joint)
+    keep: bool = False                       # knn arms keep their neighbours
 
     def keep_neighbours(self) -> "FoldedNuisances":
         """Make each knn joint arm keep the neighbours of the fold it answers,
-        for the copies ``refit_joint`` makes; they cost n * k * 8 bytes per
-        arm, so only a caller that refits asks for them."""
-        for arms in self.joint:
-            for cells in arms:
-                if cells.learner.name == "knn":
-                    cells.classifier.keep_neighbours()
+        so a later ``evaluate`` recounts over them with no search; they cost
+        n * k * 8 bytes per arm, so only a caller that evaluates more than
+        one outcome asks for them."""
+        self.keep = True
         return self
 
     def evaluate(self, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
         """Out-of-fold nuisances on the fitted rows; ``data`` may differ from
         them in its outcome alone.  The propensity is ``lam1``, read-only."""
-        self._check_rows(data)
+        ref = self.fitted_on
+        if data.n != ref.n or not all(
+                np.array_equal(a, b) for a, b in
+                ((data.x, ref.x), (data.z, ref.z), (data.w, ref.w))):
+            raise ValueError("dataset differs from the rows the folds were fitted on")
+        # Every fit, and the last complement freed, before pi is allocated: a lower peak.
+        for k, arms in enumerate(self.joint):
+            train = data.subset(np.flatnonzero(self.folds != k))
+            self.joint[k] = tuple(fit_joint(train, z, self.pi_learner, cells)
+                                  for z, cells in enumerate(arms))
+        del train
         pi = np.empty((data.n, 2, 2, 2))
         for k, arms in enumerate(self.joint):
             idx = np.flatnonzero(self.folds == k)
             x = data.x[idx]
             for z, cells in enumerate(arms):
+                if self.keep and self.pi_learner.name == "knn":
+                    cells.classifier.keep_neighbours()
                 pi[idx, :, :, z] = cells(x)
         return self.lam1, pi
 
@@ -221,20 +219,20 @@ def fold_assignment(u: np.ndarray, n_folds: int) -> np.ndarray:
 def cross_fit(data: Dataset, n_folds: int, pi_learner: LearnerSpec,
               lambda_learner: LearnerSpec, seed: int,
               eps: float = DEFAULT_EPS) -> FoldedNuisances:
-    """Fit per-fold predictors on each fold's complement, and predict the
-    propensity of each fold's rows from its fit."""
+    """Draw the folds, fit the propensity on each fold's complement and
+    predict the fold's rows from it.  Reads no outcome: the joint cells are
+    fitted by ``FoldedNuisances.evaluate``."""
     check_cross_fit_settings(n_folds, pi_learner, lambda_learner, eps, data.n)
     folds = fold_assignment(rng_stream(seed, 0).random(data.n), n_folds)
-    lam1, joint = np.empty(data.n), []
+    lam1 = np.empty(data.n)
     for k in range(n_folds):
         train = data.subset(np.flatnonzero(folds != k))
         if train.z.all() or not train.z.any():
             raise FitError(f"fold {k}: training complement lacks an instrument arm")
         idx = np.flatnonzero(folds == k)
         lam1[idx] = fit_propensity(train, lambda_learner, eps)(data.x[idx])
-        joint.append((fit_joint(train, 0, pi_learner), fit_joint(train, 1, pi_learner)))
     lam1.flags.writeable = False
-    return FoldedNuisances(folds, lam1, joint,
+    return FoldedNuisances(folds, lam1, pi_learner, [(None, None)] * n_folds,
                            {"pi": pi_learner.name, "lambda": lambda_learner.name,
                             "folds": n_folds, "eps": eps}, data)
 
@@ -294,16 +292,16 @@ class _NoisyNuisance:
 
 
 def oracle_noisy_nuisance(truth: ClosedFormNuisance, n: int, r: float, h: float,
-                          seed: int, replicate: int | None = None):
+                          seed: int, replicate: int = 0):
     """Truth-based evaluators with one logit-scale Gaussian shift per function.
 
     Shifts are iid N(h * n^-r, h^2 * n^-2r), drawn once per non-structurally-
     zero nuisance function, giving L2 error of order n^-r.  They come from
-    the stream (seed, 1, replicate), or (seed, 1) without a replicate.
+    the stream (seed, 1, replicate); replicate 0 is the stream (seed, 1).
     """
     if not 0 < r <= 0.5:
         raise ValueError("r must lie in (0, 0.5]")
     if h < 0:
         raise ValueError("h must be nonnegative")
-    rng = rng_stream(seed, 1, *([] if replicate is None else [replicate]))
+    rng = rng_stream(seed, 1, replicate)
     return _NoisyNuisance(truth, rng.standard_normal(9), h * n ** (-r))

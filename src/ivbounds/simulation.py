@@ -72,10 +72,10 @@ def margin_truth() -> ClosedFormNuisance:
     return ClosedFormNuisance(_margin_lambda1, _margin_pi, _MARGIN_ZEROS)
 
 
-def gen_margin(n: int, seed: int, replicate: int | None = None) -> Dataset:
-    """Margin-design sample from the stream (seed, 10, replicate), or
-    (seed, 10) without a replicate."""
-    rng = rng_stream(seed, 10, *([] if replicate is None else [replicate]))
+def gen_margin(n: int, seed: int, replicate: int = 0) -> Dataset:
+    """Margin-design sample from the stream (seed, 10, replicate); replicate 0
+    is the stream (seed, 10)."""
+    rng = rng_stream(seed, 10, replicate)
     x = rng.random((n, 1))
     lam1 = _margin_lambda1(x)
     z = (rng.random(n) < lam1).astype(int)
@@ -90,32 +90,25 @@ def gen_margin(n: int, seed: int, replicate: int | None = None) -> Dataset:
 # Compliance strata from (X1, X2): always-takers when X2 >= 0.99,
 # never-takers when X2 <= -0.99, defiers when X1 = 0 and X2 in (-0.5, 0.5],
 # compliers otherwise.  The strata change only at the X2 cut points, so the
-# law is constant in X2 between consecutive cuts.  Outcome means by
-# (stratum, exposure):
+# law is constant in X2 between consecutive cuts.  Strata are coded
+# 0 = AT, 1 = NT, 2 = DE, 3 = CO; outcome means and exposures by stratum:
 
 _X2_CUTS = (-0.99, -0.5, 0.5, 0.99)
 _X1_PROBS = (0.3, 0.7)  # P(X1 = 0), P(X1 = 1)
 
-_STRATA = ("AT", "NT", "DE", "CO")
-_ILLU_BETA = {
-    "AT": (0.20, 0.35),
-    "NT": (0.90, 0.95),
-    "DE": (0.65, 0.725),
-    "CO": (0.25, 0.375),
-}
-_ILLU_EXPOSURE = {"AT": (1, 1), "NT": (0, 0), "DE": (1, 0), "CO": (0, 1)}  # A at z=0, 1
+_ILLU_BETA = np.array([(0.20, 0.35), (0.90, 0.95), (0.65, 0.725), (0.25, 0.375)])  # Y at A=0, 1
+_ILLU_EXPOSURE = np.array([(1, 1), (0, 0), (1, 0), (0, 1)])  # A at z=0, 1
 
 
 def _strata(x1, x2, appendix_compat=False):
-    """Stratum label per row; compat mode drops the tail strata entirely."""
+    """Stratum code per row; compat mode drops the tail strata entirely.
+    The defier band and the tails do not overlap."""
     nt_cut, de_low, de_high, at_cut = _X2_CUTS
-    s = np.full(len(x1), "CO", dtype="<U2")
+    s = np.full(len(x1), 3)
+    s[(x1 == 0) & (x2 > de_low) & (x2 <= de_high)] = 2
     if not appendix_compat:
-        s[x2 >= at_cut] = "AT"
-        s[x2 <= nt_cut] = "NT"
-    defier = (x1 == 0) & (x2 > de_low) & (x2 <= de_high)
-    keep = (s == "CO")
-    s[keep & defier] = "DE"
+        s[x2 >= at_cut] = 0
+        s[x2 <= nt_cut] = 1
     return s
 
 
@@ -125,10 +118,8 @@ def gen_illustration(n: int, seed: int, appendix_compat: bool = False) -> Datase
     x1 = (rng.random(n) < _X1_PROBS[1]).astype(int)
     x2 = rng.uniform(-1.0, 1.0, n)
     s = _strata(x1, x2, appendix_compat)
-    a = np.array([_ILLU_EXPOSURE[k] for k in s])[np.arange(n), z]
-    beta = np.array([_ILLU_BETA[k] for k in s])
-    p = beta[np.arange(n), a]
-    y = (rng.random(n) < p).astype(float)
+    a = _ILLU_EXPOSURE[s, z]
+    y = (rng.random(n) < _ILLU_BETA[s, a]).astype(float)
     return Dataset(x=np.column_stack([x1, x2]).astype(float), z=z,
                    a=a.astype(int), y=y, colnames=["x1", "x2"])
 
@@ -141,16 +132,16 @@ def _stratum_weights(x, appendix_compat=False):
     """Row-wise probability of each stratum given covariates (AT, NT, DE, CO)."""
     x = np.atleast_2d(x)
     s = _strata(x[:, 0].astype(int), x[:, 1], appendix_compat)
-    return (s[:, None] == np.array(_STRATA)).astype(float)
+    return (s[:, None] == np.arange(4)).astype(float)
 
 
 def illustration_pi(x, appendix_compat: bool = False):
     """Closed-form joint cells; strata are deterministic in the covariates."""
     w = _stratum_weights(x, appendix_compat)
     pi = np.zeros((len(w), 2, 2, 2))
-    for j, k in enumerate(_STRATA):
-        for z, a in enumerate(_ILLU_EXPOSURE[k]):
-            p = _ILLU_BETA[k][a]
+    for j in range(4):
+        for z, a in enumerate(_ILLU_EXPOSURE[j]):
+            p = _ILLU_BETA[j, a]
             pi[:, 1, a, z] += w[:, j] * p
             pi[:, 0, a, z] += w[:, j] * (1.0 - p)
     return pi
@@ -174,7 +165,7 @@ def illustration_truth(appendix_compat: bool = False) -> dict:
     intervals and the two values of X1."""
     x, w = _illustration_atoms()
     prof = theta_profile(illustration_pi(x, appendix_compat))
-    cate = np.array([_ILLU_BETA[k][1] - _ILLU_BETA[k][0] for k in _STRATA])
+    cate = _ILLU_BETA[:, 1] - _ILLU_BETA[:, 0]
     return {"lower": float(w @ prof.gamma_l), "upper": float(w @ prof.gamma_u),
             "ate": float(w @ (_stratum_weights(x, appendix_compat) @ cate))}
 

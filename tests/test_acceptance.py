@@ -193,7 +193,7 @@ def test_criterion_7_continuous_binary_consistency():
             l1, p = nuis.evaluate(d)
             return l1, p[:, ::-1]  # pseudo outcome is 1 - y for binary data
 
-    cont = continuous_bounds(data, lambda aug: Pseudo(), m=1, seed=7,
+    cont = continuous_bounds(data, Pseudo(), m=1, seed=7,
                              transform=OutcomeTransform(0.0, 1.0))
     assert abs(cont.lower - binary.lower) <= 1e-12
     assert abs(cont.upper - binary.upper) <= 1e-12

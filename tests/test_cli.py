@@ -4,6 +4,7 @@ import platform
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -282,9 +283,10 @@ class TestContinuousReuse:
         data = load_csv(csv, ColumnMapping(["x1", "x2"], "z", "a", "y"),
                         "bounded-continuous")
         pi, lam = (parse_learner_spec(v) for v in self.LEARNERS[1::2])
-        est = continuous_bounds(
-            data, lambda aug: crossfit.cross_fit(aug, self.K, pi, lam, self.SEED),
-            self.M, self.SEED)
+        fresh = SimpleNamespace(  # a new cross-fit for every replicate
+            evaluate=lambda aug: crossfit.cross_fit(aug, self.K, pi, lam,
+                                                    self.SEED).evaluate(aug))
+        est = continuous_bounds(data, fresh, self.M, self.SEED)
         lo, hi = wald_interval(est, 0.05)
         assert (report["lower"], report["upper"]) == (est.lower, est.upper)
         assert (report["var_lower"], report["var_upper"]) == (est.var_lower,
@@ -307,30 +309,53 @@ class TestContinuousReuse:
         assert rc == 0
         assert calls == {"fit_propensity": self.K, "fit_joint": 2 * self.K * self.M}
 
+    def test_constant_outcome_fails_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        fits = []
+        fit = crossfit.fit_propensity
+        monkeypatch.setattr(crossfit, "fit_propensity",
+                            lambda *args, **kw: fits.append(1) or fit(*args, **kw))
+        d = gen_illustration(100, 0)
+        csv = tmp_path / "c.csv"
+        csv.write_text("x1,x2,z,a,y\n" + "".join(
+            f"{d.x[i, 0]},{d.x[i, 1]},{d.z[i]},{d.a[i]},3.5\n" for i in range(d.n)))
+        rc = main(["bounds", str(csv), *BOUNDS_ARGS, "--method", "continuous",
+                   "--folds", str(self.K), *self.LEARNERS])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "invalid-config", "message": "outcome range must be positive"}
+        assert fits == []
+
     @pytest.mark.parametrize("column", ["z", "w"])
     def test_reuse_rejects_other_rows(self, column):
         data = gen_illustration(300, 4)
         spec = parse_learner_spec("histogram")
         nuis = crossfit.cross_fit(data, 3, spec, spec, seed=4)
         same_rows = data.replace_outcome(1.0 - data.y, "binary")
-        assert nuis.refit_joint(same_rows).folds is nuis.folds
+        assert nuis.evaluate(same_rows)[0] is nuis.lam1
         other = data.subset(np.arange(data.n))
         if column == "z":
             other.z[0] = 1 - other.z[0]
         else:
             other.w[0] = 2.0
         with pytest.raises(ValueError, match="fitted on"):
-            nuis.refit_joint(other)
+            nuis.evaluate(other)
 
     def test_propensity_predicted_once_per_fold(self, tmp_path, capsys, monkeypatch):
         # The out-of-fold propensity ignores the outcome, so cross_fit
-        # predicts it once and later replicates reuse it.
+        # predicts it once and later replicates reuse it.  Each joint arm
+        # keeps the neighbours it finds, so it is searched once: a search
+        # stores a new query tuple, a recount keeps the kept one.
         calls = {2: 0, 4: 0}
+        searched = set()
         predict = KnnFrequency.predict_proba
 
         def counted(model, x):
             calls[model.n_classes] += 1
-            return predict(model, x)
+            kept = model.last_query_
+            out = predict(model, x)
+            if model.n_classes == 4 and model.last_query_ is not kept:
+                searched.add(id(model.last_query_))
+            return out
         monkeypatch.setattr(KnnFrequency, "predict_proba", counted)
         rc, _ = run_json(capsys, [
             "bounds", str(write_continuous_csv(tmp_path / "c.csv")), *BOUNDS_ARGS,
@@ -338,6 +363,7 @@ class TestContinuousReuse:
             "--learner-pi", "knn:20", "--learner-lambda", "knn:20"])
         assert rc == 0
         assert calls == {2: self.K, 4: 2 * self.K * self.M}
+        assert len(searched) == 2 * self.K
 
 
 class TestOtherCommands:

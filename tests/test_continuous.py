@@ -85,7 +85,7 @@ class TestContinuousBounds:
                 l1, p = nuis.evaluate(d)
                 return l1, p[:, ::-1]  # pseudo outcome is 1 - y for binary data
 
-        cont = continuous_bounds(data, lambda aug: Pseudo(), m=1, seed=2,
+        cont = continuous_bounds(data, Pseudo(), m=1, seed=2,
                                  method=method,
                                  transform=OutcomeTransform(0.0, 1.0))
         assert cont.lower == pytest.approx(binary.lower, abs=1e-12)
@@ -112,7 +112,7 @@ class TestContinuousBounds:
             def evaluate(self, d):
                 return lam1, pi[:, ::-1]
 
-        cont = continuous_bounds(data, lambda aug: Pseudo(), m=1, seed=seed,
+        cont = continuous_bounds(data, Pseudo(), m=1, seed=seed,
                                  method=method, transform=OutcomeTransform(0.0, 1.0))
         for field in ("lower", "upper", "var_lower", "var_upper"):
             assert getattr(cont, field) == pytest.approx(
@@ -128,7 +128,7 @@ class TestContinuousBounds:
         lam1, pi = nuis.evaluate(data)
         binary = direct_bounds(data, lam1, pi)
         cont = continuous_bounds(
-            data, lambda aug: cross_fit(aug, 3, spec, known, seed=3),
+            data, cross_fit(data, 3, spec, known, seed=3),
             m=1, seed=3, transform=OutcomeTransform(0.0, 1.0))
         assert cont.lower == pytest.approx(binary.lower, abs=1e-12)
         assert cont.upper == pytest.approx(binary.upper, abs=1e-12)
@@ -151,14 +151,14 @@ class TestContinuousBounds:
                             pi[:, y, a, z] = np.mean((d.y[m] == y) & (d.a[m] == a))
                 return l1, pi
 
-        v1 = continuous_bounds(cont_y, lambda aug: Fixed(), m=1, seed=6).var_lower
-        v20 = continuous_bounds(cont_y, lambda aug: Fixed(), m=20, seed=6).var_lower
+        v1 = continuous_bounds(cont_y, Fixed(), m=1, seed=6).var_lower
+        v20 = continuous_bounds(cont_y, Fixed(), m=20, seed=6).var_lower
         assert v20 < v1
 
     def test_invalid_m(self):
         data = gen_illustration(100, 7)
         with pytest.raises(ValueError):
-            continuous_bounds(data, lambda aug: None, m=0, seed=0)
+            continuous_bounds(data, None, m=0, seed=0)
 
 
 class TestAveragedVariance:

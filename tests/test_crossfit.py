@@ -155,9 +155,10 @@ class TestFitJoint:
         d = continuous_toy_data()
         with pytest.raises(FitError, match="outcome in"):
             fit_joint(d, 1, parse_learner_spec("knn:20"))
+        nuis = cross_fit(d, 3, parse_learner_spec("knn:20"),
+                         parse_learner_spec("histogram"), seed=0)  # reads no outcome
         with pytest.raises(FitError, match="outcome in"):
-            cross_fit(d, 3, parse_learner_spec("knn:20"),
-                      parse_learner_spec("histogram"), seed=0)
+            nuis.evaluate(d)
 
 
 class TestCrossFit:
@@ -174,6 +175,7 @@ class TestCrossFit:
         d = toy_data(300)
         nuis = cross_fit(d, 3, parse_learner_spec("constant"),
                          parse_learner_spec("known:0.5"), seed=3)
+        nuis.evaluate(d)
         probs = [arms[1](d.x[:1]) for arms in nuis.joint]
         assert not np.allclose(probs[0], probs[1])
 
@@ -226,22 +228,27 @@ class TestCrossFit:
             cross_fit(toy_data(), 2, parse_learner_spec("known:0.5"),
                       parse_learner_spec("constant"), seed=0)
 
-    @pytest.mark.parametrize("keep", [True, False])
-    def test_knn_refit_equals_fresh_fit(self, keep):
-        # A refit recounts the new outcome over the neighbours replicate 1
+    @pytest.mark.parametrize("spec,keep", [
+        ("constant", False), ("histogram", False), ("softmax", False),
+        ("knn:20", True), ("knn:20", False)])
+    def test_second_outcome_equals_fresh_fit(self, spec, keep):
+        # A second outcome's cells on the same rows equal a fresh cross-fit's.
+        # A knn arm recounts them over the neighbours the first evaluate
         # found, if it was asked to keep them, and otherwise searches again.
         d = toy_data(300)
-        spec, known = parse_learner_spec("knn:20"), parse_learner_spec("known:0.5")
+        spec, known = parse_learner_spec(spec), parse_learner_spec("known:0.5")
         nuis = cross_fit(d, 3, spec, known, seed=5)
         if keep:
             nuis.keep_neighbours()
         nuis.evaluate(d)
+        first = list(nuis.joint)
         flipped = d.replace_outcome(1.0 - d.y, "binary")
-        refit = nuis.refit_joint(flipped)
-        got = refit.evaluate(flipped)[1]
+        got = nuis.evaluate(flipped)[1]
         want = cross_fit(flipped, 3, spec, known, seed=5).evaluate(flipped)[1]
         assert got.tobytes() == want.tobytes()
-        for old, new in zip(nuis.joint, refit.joint):
+        if spec.name != "knn":
+            return
+        for old, new in zip(first, nuis.joint):
             for a, b in zip(old, new):
                 kept = a.classifier.last_query_
                 assert (kept[0] is not None) == keep
@@ -249,7 +256,7 @@ class TestCrossFit:
 
     def test_propensity_predicted_once_by_cross_fit(self, monkeypatch):
         # cross_fit predicts each fold's out-of-fold propensity right after
-        # fitting it; evaluate and the copies refit_joint makes reuse it.
+        # fitting it; evaluate reuses it, whatever the outcome.
         calls = {2: 0, 4: 0}
         predict = KnnFrequency.predict_proba
 
@@ -266,9 +273,7 @@ class TestCrossFit:
         with pytest.raises(ValueError):
             nuis.lam1[0] = 0.5
         flipped = d.replace_outcome(1.0 - d.y, "binary")
-        refit = nuis.refit_joint(flipped)
-        assert refit.lam1 is nuis.lam1
-        assert refit.evaluate(flipped)[0] is nuis.lam1
+        assert nuis.evaluate(flipped)[0] is nuis.lam1
         assert calls[2] == 3
 
     @pytest.mark.parametrize("column", ["x", "z", "w"])
@@ -277,10 +282,12 @@ class TestCrossFit:
         nuis = cross_fit(d, 3, parse_learner_spec("histogram"),
                          parse_learner_spec("histogram"), seed=4)
         lam1, pi = nuis.evaluate(d)
-        # Only the outcome differs: the continuous-mode path evaluates this.
+        # Only the outcome differs: the continuous-mode path evaluates this,
+        # and the cells follow the outcome evaluated.
         lam_y, pi_y = nuis.evaluate(d.replace_outcome(1.0 - d.y, "binary"))
         np.testing.assert_array_equal(lam_y, lam1)
-        np.testing.assert_array_equal(pi_y, pi)
+        assert not np.array_equal(pi_y, pi)
+        np.testing.assert_array_equal(nuis.evaluate(d)[1], pi)
         other = d.subset(np.arange(d.n))
         if column == "x":
             other.x[0, 0] += 0.5

@@ -73,8 +73,7 @@ def grid_reference(appendix_compat, n_grid=20_001):
     """Illustration integrals as means over an even X2 grid, weighted by
     P(X1): an independent reference for the exact interval sums."""
     x2 = np.linspace(-1.0, 1.0, n_grid)
-    cate = np.array([b1 - b0 for (b0, b1) in
-                     (_ILLU_BETA[k] for k in ("AT", "NT", "DE", "CO"))])
+    cate = _ILLU_BETA[:, 1] - _ILLU_BETA[:, 0]  # strata AT, NT, DE, CO
     out = dict.fromkeys(("lower", "upper", "ate"), 0.0)
     pooled = np.zeros((2, 2, 2))
     by_x2 = np.zeros((n_grid, 2, 2, 2))

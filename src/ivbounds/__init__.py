@@ -32,7 +32,7 @@ from .estimators import (
     wald_interval,
 )
 from .learners import FitError, LearnerSpec, make_classifier, parse_learner_spec
-from .lse import LseConfig, conservative_interval, lse, lse_bounds, lse_grad, lse_hess
+from .lse import conservative_interval, lse, lse_bounds, lse_grad, lse_hess
 
 __all__ = [
     "__version__",
@@ -64,7 +64,6 @@ __all__ = [
     "LearnerSpec",
     "make_classifier",
     "parse_learner_spec",
-    "LseConfig",
     "conservative_interval",
     "lse",
     "lse_bounds",

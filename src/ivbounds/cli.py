@@ -27,7 +27,7 @@ from .crossfit import (DEFAULT_EPS, DEFAULT_FOLDS, check_cross_fit_settings, cro
 from .data import ColumnMapping, LoadError, load_csv
 from .estimators import direct_bounds, wald_interval
 from .learners import FitError, parse_learner_spec
-from .lse import LseConfig, conservative_interval, lse_bounds
+from .lse import conservative_interval, lse_bounds
 from .simulation import (gen_illustration, illustration_truth, rmse_experiment,
                          width_comparison)
 
@@ -60,11 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--eps", type=float, default=DEFAULT_EPS,
                    help="propensity truncation level")
     b.add_argument("--t", type=float, default=None,
-                   help="fixed smoothing temperature (lse only)")
-    b.add_argument("--t-rule", choices=["fixed", "data-analysis", "simulation"],
-                   default="data-analysis")
-    b.add_argument("--m", type=int, default=20,
-                   help="threshold replicates (continuous only)")
+                   help="smoothing temperature (lse only; default 100 n^{1/4})")
+    b.add_argument("--m", type=int, default=None,
+                   help="threshold replicates (continuous only; default 20)")
     b.add_argument("--delta", type=float, default=0.05,
                    help="interval miscoverage level")
     b.add_argument("--seed", type=int, default=0)
@@ -156,24 +154,23 @@ def _cmd_bounds(args) -> int:
         outcome=args.outcome, weight=args.weights_col)
     if args.t is not None and args.method != "lse":
         raise ValueError("--t applies only to --method lse")
-    if args.t is not None and args.t_rule != "fixed":
-        raise ValueError("--t requires --t-rule fixed")
-    lse_config = LseConfig(args.t_rule, t=args.t)
-    if args.method == "lse":
-        lse_config.temperature(1)  # a fixed rule without a positive --t fails here
+    if args.t is not None and not 0 < args.t < float("inf"):  # nan fails too
+        raise ValueError(f"--t {args.t} is not positive and finite")
+    if args.method == "continuous":
+        args.m = 20 if args.m is None else args.m  # the report's config shows it
+        if args.m < 1:
+            raise ValueError("m must be at least 1")
+    elif args.m is not None:
+        raise ValueError("--m applies only to --method continuous")
     pi_spec = parse_learner_spec(args.learner_pi)
     lam_spec = parse_learner_spec(args.learner_lambda)
     check_cross_fit_settings(args.folds, pi_spec, lam_spec, args.eps)
-    if args.method == "continuous" and args.m < 1:
-        raise ValueError("m must be at least 1")
     outcome_kind = "bounded-continuous" if args.method == "continuous" else "binary"
     data = load_csv(args.input, mapping, outcome_kind)
 
     if args.method == "continuous":
         transform = OutcomeTransform.from_data(data.y)  # a constant outcome fails before any fit
         nuis = cross_fit(data, args.folds, pi_spec, lam_spec, args.seed, args.eps)
-        if args.m > 1:  # later replicates recount over the neighbours the first found
-            nuis.keep_neighbours()
         est = continuous_bounds(data, nuis, args.m, args.seed, transform=transform)
         interval = wald_interval(est, args.delta)
         diagnostics = {"outcome_scale": est.extra["scale"]}
@@ -186,7 +183,7 @@ def _cmd_bounds(args) -> int:
             "nuisance": nuis.descriptor,
         }
         if args.method == "lse":
-            est = lse_bounds(data, lam1, pi, lse_config)
+            est = lse_bounds(data, lam1, pi, args.t)
             interval = conservative_interval(est, args.delta)
         else:
             est = direct_bounds(data, lam1, pi)

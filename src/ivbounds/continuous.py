@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crossfit import rng_stream
+from .crossfit import FoldedNuisances, rng_stream
 from .data import Dataset
 from .estimators import BoundEstimate, _finish, direct_bounds
-from .lse import LseConfig, lse_bounds
+from .lse import lse_bounds
 
 __all__ = [
     "OutcomeTransform",
@@ -89,16 +89,8 @@ def augment(data: Dataset, transform: OutcomeTransform, seed: int,
     return data.replace_outcome((y01 <= w).astype(float), "binary")
 
 
-def _estimate(data, nuisances, method, lse_config):
-    lam1, pi = nuisances.evaluate(data)
-    if method == "lse":
-        return lse_bounds(data, lam1, pi, lse_config)
-    return direct_bounds(data, lam1, pi)
-
-
 def continuous_bounds(data: Dataset, nuisances, m: int, seed: int,
-                      method: str = "direct",
-                      lse_config: LseConfig = LseConfig(),
+                      method: str = "direct", t: float | None = None,
                       transform: OutcomeTransform | None = None) -> BoundEstimate:
     """ATE bounds for a bounded outcome, averaging m threshold replicates.
 
@@ -106,7 +98,8 @@ def continuous_bounds(data: Dataset, nuisances, m: int, seed: int,
     dataset ``aug``, which differs from ``data`` in its outcome alone.  A
     ``FoldedNuisances`` from one ``cross_fit`` of ``data`` keeps its folds and
     propensity, which do not read the outcome, and fits the joint cells of
-    each pseudo-outcome.
+    each pseudo-outcome; for m > 1 it keeps its knn neighbours, so later
+    replicates recount them with no search.  "lse" smooths at ``t`` as ``lse_bounds``.
     Point estimates and per-row influence values are averaged across
     replicates before the variance is formed, so the reported variance
     reflects the dichotomization-noise reduction from larger m.
@@ -115,11 +108,14 @@ def continuous_bounds(data: Dataset, nuisances, m: int, seed: int,
         raise ValueError("m must be at least 1")
     if transform is None:
         transform = OutcomeTransform.from_data(data.y)
+    if m > 1 and isinstance(nuisances, FoldedNuisances):
+        nuisances.keep_neighbours()
     acc_l = np.zeros(data.n)
     acc_u = np.zeros(data.n)
     for rep in range(m):
         aug = augment(data, transform, seed, rep)
-        est = _estimate(aug, nuisances, method, lse_config)
+        lam1, pi = nuisances.evaluate(aug)
+        est = lse_bounds(aug, lam1, pi, t) if method == "lse" else direct_bounds(aug, lam1, pi)
         # Pseudo-outcome bounds sandwich E[1 - Y(a)]; negate and swap so the
         # accumulators track the ATE of the unit-scale outcome.
         acc_l += -est.phi_upper

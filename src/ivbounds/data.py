@@ -66,6 +66,9 @@ class Dataset:
             raise ValueError("binary outcome kind requires y in {0, 1}")
         if np.any(self.w <= 0):
             raise ValueError("weights must be strictly positive")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(self.w.sum()):  # every normalized weight would be 0
+                raise ValueError("weights sum to more than the largest float")
         if not self.colnames:
             self.colnames = [f"x{i}" for i in range(self.x.shape[1])]
 

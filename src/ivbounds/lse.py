@@ -16,7 +16,6 @@ and the sums of eight columns keep NumPy's pairwise order.  ``lse`` and
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +30,6 @@ __all__ = [
     "lse",
     "lse_grad",
     "lse_hess",
-    "LseConfig",
     "lse_bounds",
     "conservative_interval",
 ]
@@ -90,31 +88,6 @@ def lse_hess(v: np.ndarray, t: float) -> np.ndarray:
     return t * (s[..., :, None] * np.eye(s.shape[-1]) - s[..., :, None] * s[..., None, :])
 
 
-@dataclass(frozen=True)
-class LseConfig:
-    """Temperature rule for the smooth estimator.
-
-    rule: "fixed" (uses ``t``), "data-analysis" (t = 100 n^{1/4}), or
-    "simulation" (t = 2 h n^r with the nuisance-error parameters).
-    """
-
-    rule: str = "data-analysis"
-    t: float | None = None
-    h: float = 2.25
-    r: float = 0.3
-
-    def temperature(self, n: int) -> float:
-        if self.rule == "fixed":
-            if self.t is None or self.t <= 0:
-                raise ValueError("fixed rule needs a positive t")
-            return float(self.t)
-        if self.rule == "data-analysis":
-            return 100.0 * n ** 0.25
-        if self.rule == "simulation":
-            return 2.0 * self.h * n ** self.r
-        raise ValueError(f"unknown temperature rule: {self.rule!r}")
-
-
 def _smooth_phi(kernel: BoundKernel, t) -> tuple[np.ndarray, np.ndarray]:
     """Per-row smooth contributions: each row's lse plus its softmax-weighted
     c, at temperature ``t`` (a float, or one per row of the kernel).  The
@@ -130,11 +103,17 @@ def _smooth_phi(kernel: BoundKernel, t) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lse_bounds(data: Dataset, lam1: np.ndarray, pi: np.ndarray,
-               config: LseConfig = LseConfig()) -> BoundEstimate:
-    """Smooth one-step estimator at the configured temperature of the full n."""
-    t = config.temperature(data.n)
+               t: float | None = None) -> BoundEstimate:
+    """Smooth one-step estimator at temperature ``t``, which must be positive
+    and finite; None takes the data-analysis rule t = 100 n^{1/4} of the full n."""
+    if t is None:
+        t, rule = 100.0 * data.n ** 0.25, "data-analysis"
+    elif 0 < t < np.inf:  # nan fails too
+        t, rule = float(t), "fixed"
+    else:
+        raise ValueError(f"temperature t = {t} is not positive and finite")
     return _finish(data, *_by_blocks(data, lam1, pi, lambda k, rows: (
-        *_smooth_phi(k, t), k.d_l, k.d_u)), "lse", {"t": t, "t_rule": config.rule})
+        *_smooth_phi(k, t), k.d_l, k.d_u)), "lse", {"t": t, "t_rule": rule})
 
 
 def conservative_interval(est: BoundEstimate, alpha: float = 0.05) -> tuple[float, float]:

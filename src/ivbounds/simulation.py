@@ -25,7 +25,7 @@ from .data import Dataset
 # plugin_bounds is imported only for perfbench/spans.py, which traces it
 # under this module's name.
 from .estimators import _by_blocks, _mean, direct_bounds, plugin_bounds, wald_interval
-from .lse import LseConfig, _smooth_phi, conservative_interval, lse_bounds
+from .lse import _smooth_phi, conservative_interval, lse_bounds
 
 __all__ = [
     "gen_margin",
@@ -41,6 +41,11 @@ __all__ = [
 ]
 
 MARGIN_H = 2.25
+
+
+def _temperature(n: int, h: float, r: float) -> float:
+    """The simulations' lse temperature t = 2 h n^r, for nuisance error of order n^-r."""
+    return 2.0 * h * n ** r
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +200,7 @@ def _bounds_by_rate(data, noise, logits, rates, h: float) -> list[dict]:
     n = data.n
     lam1, pi = (np.concatenate(parts) for parts in zip(
         *(replace(noise, scale=h * n ** (-r)).shift(logits) for r in rates)))
-    t = np.repeat([LseConfig("simulation", h=h, r=r).temperature(n) for r in rates], n)
+    t = np.repeat([_temperature(n, h, r) for r in rates], n)
     phi = _by_blocks(data.subset(np.tile(np.arange(n), len(rates))), lam1, pi,
                      lambda k, rows: (*k.direct_phi(), k.gamma_l, k.gamma_u,
                                       *_smooth_phi(k, t[rows])))
@@ -287,7 +292,7 @@ def _coverage_replicate(n: int, rep: int, *, r: float, seed: int, h: float,
     lam1, pi = oracle_noisy_nuisance(margin_truth(), n, r, h, seed, rep).evaluate(data)
     lo, hi = wald_interval(direct_bounds(data, lam1, pi), alpha)
     lo_s, hi_s = conservative_interval(
-        lse_bounds(data, lam1, pi, LseConfig("simulation", h=h, r=r)), alpha)
+        lse_bounds(data, lam1, pi, _temperature(n, h, r)), alpha)
     return int(lo <= 0.0 <= hi), int(lo_s <= 0.0 <= hi_s)
 
 

@@ -187,9 +187,9 @@ class TestBoundsCommand:
 
     @pytest.mark.parametrize("flags", [
         ["--method", "direct", "--t", "2"],
-        ["--method", "lse", "--t", "2"],
-        ["--method", "lse", "--t-rule", "fixed"],
-        ["--method", "lse", "--t-rule", "fixed", "--t", "-1"],
+        ["--method", "continuous", "--t", "2"],
+        ["--method", "direct", "--m", "5"],  # --m was ignored outside continuous mode
+        ["--method", "lse", "--m", "20"],
         ["--learner-pi", "forest"],
         ["--learner-lambda", "known:half"],
     ])
@@ -197,6 +197,46 @@ class TestBoundsCommand:
         rc = main(["bounds", str(tmp_path / "absent.csv"), *BOUNDS_ARGS, *flags])
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "invalid-config"
+
+    @pytest.mark.parametrize("t", ["0", "-1", "nan", "inf"])  # inf gave NaN bounds, exit 0
+    def test_t_must_be_positive_and_finite(self, tmp_path, capsys, t):
+        rc = main(["bounds", str(tmp_path / "absent.csv"), *BOUNDS_ARGS,
+                   "--method", "lse", "--t", t])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "invalid-config",
+                       "message": f"--t {float(t)} is not positive and finite"}
+
+    def test_t_sets_the_temperature(self, tmp_path, capsys):
+        csv = write_illustration_csv(tmp_path / "d.csv", n=300)
+        rc, report = run_json(capsys, ["bounds", str(csv), *BOUNDS_ARGS, "--method", "lse",
+                                       "--folds", "3", "--t", "7.5"])
+        assert rc == 0
+        assert report["method_metadata"] == {"t": 7.5, "t_rule": "fixed"}
+        assert (report["config"]["t"], report["config"]["m"]) == (7.5, None)
+
+    def test_t_rule_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "data.csv", *BOUNDS_ARGS, "--method", "lse", "--t-rule", "fixed"])
+        assert exc.value.code == 2
+        assert "--t-rule" in capsys.readouterr().err
+
+    def test_overflowing_weight_total_exits_2(self, tmp_path, capsys, monkeypatch):
+        # Every weight is finite, but their sum is not: the normalized weights
+        # were all 0, which gave bounds and interval [0, 0] with exit 0.
+        d = gen_illustration(400, 0)
+        csv = tmp_path / "w.csv"
+        csv.write_text("x1,x2,z,a,y,wt\n" + "".join(
+            f"{d.x[i, 0]},{d.x[i, 1]},{d.z[i]},{d.a[i]},{int(d.y[i])},1e306\n"
+            for i in range(d.n)))
+
+        def no_fits(*args, **kwargs):
+            raise AssertionError("fitted before the weights were checked")
+        monkeypatch.setattr(cli, "cross_fit", no_fits)
+        assert main(["bounds", str(csv), *BOUNDS_ARGS, "--weights-col", "wt"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "weights sum" in json.loads(captured.err)["message"]
 
     @pytest.mark.parametrize("flags", [
         ["--folds", "1"],

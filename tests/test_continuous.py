@@ -14,7 +14,7 @@ from ivbounds.continuous import (
 from ivbounds.crossfit import ClosedFormNuisance, cross_fit
 from ivbounds.data import Dataset
 from ivbounds.estimators import direct_bounds
-from ivbounds.learners import parse_learner_spec
+from ivbounds.learners import KnnFrequency, parse_learner_spec
 from ivbounds.lse import lse_bounds
 from ivbounds.simulation import (
     gen_illustration,
@@ -154,6 +154,32 @@ class TestContinuousBounds:
         v1 = continuous_bounds(cont_y, Fixed(), m=1, seed=6).var_lower
         v20 = continuous_bounds(cont_y, Fixed(), m=20, seed=6).var_lower
         assert v20 < v1
+
+    def test_each_fold_arm_searched_once(self, monkeypatch):
+        # With m > 1, continuous_bounds has a FoldedNuisances keep each knn
+        # arm's neighbours, so later replicates recount with no search.  A
+        # search stores a new query tuple; a recount keeps the kept one.
+        k, m = 3, 3
+        calls, searched = [], set()
+        predict = KnnFrequency.predict_proba
+
+        def counted(model, x):
+            kept = model.last_query_
+            out = predict(model, x)
+            if model.n_classes == 4:
+                calls.append(1)
+                if model.last_query_ is not kept:
+                    searched.add(id(model.last_query_))
+            return out
+        monkeypatch.setattr(KnnFrequency, "predict_proba", counted)
+        data = gen_illustration(400, 3)
+        rng = np.random.default_rng(1)
+        data = data.replace_outcome(2.0 * data.y + rng.random(data.n), "bounded-continuous")
+        nuis = cross_fit(data, k, parse_learner_spec("knn:20"),
+                         parse_learner_spec("known:0.5"), seed=5)
+        continuous_bounds(data, nuis, m, seed=5)
+        assert len(calls) == 2 * k * m
+        assert len(searched) == 2 * k
 
     def test_invalid_m(self):
         data = gen_illustration(100, 7)

@@ -85,6 +85,12 @@ class TestDataset:
         with pytest.raises(ValueError, match="non-finite"):
             Dataset(**base)
 
+    def test_weights_whose_sum_overflows_rejected(self):
+        # Each weight is finite; the sum is inf, so every normalized weight was 0.
+        with pytest.raises(ValueError, match="weights sum"):
+            Dataset(x=np.zeros((4, 1)), z=[0, 1, 0, 1], a=[0, 1, 1, 0],
+                    y=[0.0, 1.0, 0.0, 1.0], w=np.full(4, 1e308))
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Dataset(x=np.zeros((3, 1)), z=[0, 1], a=[0, 1], y=[0, 1])

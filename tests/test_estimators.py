@@ -24,7 +24,7 @@ from ivbounds.estimators import (
     wald_interval,
     z_quantile,
 )
-from ivbounds.lse import LseConfig, _smooth_phi, lse, lse_bounds, lse_grad
+from ivbounds.lse import _smooth_phi, lse, lse_bounds, lse_grad
 from ivbounds.simulation import gen_margin, margin_truth
 
 
@@ -255,7 +255,7 @@ class TestKernelMatchesReference:
         ref, d_l, d_u = reference_estimates(data, lam1, pi, t)
         for name, est in (("direct", direct_bounds(data, lam1, pi)),
                           ("plugin", plugin_bounds(data, lam1, pi)),
-                          ("lse", lse_bounds(data, lam1, pi, LseConfig("fixed", t=t)))):
+                          ("lse", lse_bounds(data, lam1, pi, t))):
             assert est.method == name
             assert est.phi_lower.tobytes() == ref[name][0].tobytes(), name
             assert est.phi_upper.tobytes() == ref[name][1].tobytes(), name

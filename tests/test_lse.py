@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from ivbounds.estimators import direct_bounds, wald_interval
 from ivbounds.lse import (
-    LseConfig,
     _lse_and_grad,
     conservative_interval,
     lse,
@@ -13,7 +12,7 @@ from ivbounds.lse import (
     lse_grad,
     lse_hess,
 )
-from ivbounds.simulation import gen_margin, margin_truth
+from ivbounds.simulation import _temperature, gen_margin, margin_truth
 
 
 def random_vectors(n, k=8, scale=3.0, seed=0):
@@ -101,21 +100,25 @@ class TestKernel:
 
 class TestTemperatureRules:
     def test_data_analysis_rule(self):
-        assert LseConfig("data-analysis").temperature(3010) == pytest.approx(
-            100.0 * 3010 ** 0.25)
+        d = gen_margin(3010, 0)
+        est = lse_bounds(d, *margin_truth().evaluate(d))
+        assert est.extra["t"] == pytest.approx(100.0 * 3010 ** 0.25)
+        assert est.extra["t_rule"] == "data-analysis"
 
     def test_simulation_rule(self):
-        cfg = LseConfig("simulation", h=2.25, r=0.3)
-        assert cfg.temperature(5000) == pytest.approx(2 * 2.25 * 5000 ** 0.3)
+        assert _temperature(5000, 2.25, 0.3) == pytest.approx(2 * 2.25 * 5000 ** 0.3)
 
     def test_fixed_rule_requires_t(self):
-        assert LseConfig("fixed", t=50.0).temperature(10) == 50.0
-        with pytest.raises(ValueError):
-            LseConfig("fixed").temperature(10)
+        d = gen_margin(10, 0)
+        est = lse_bounds(d, *margin_truth().evaluate(d), 50.0)
+        assert est.extra == {"t": 50.0, "t_rule": "fixed"}
 
-    def test_unknown_rule(self):
-        with pytest.raises(ValueError):
-            LseConfig("annealed").temperature(10)
+    @pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf])
+    def test_given_t_must_be_positive_and_finite(self, t):
+        # An infinite t gave NaN bounds, and a NaN t NaN bounds too.
+        d = gen_margin(200, 0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            lse_bounds(d, *margin_truth().evaluate(d), t)
 
 
 class TestLseBounds:
@@ -123,21 +126,21 @@ class TestLseBounds:
         d = gen_margin(2000, 1)
         lam1, pi = margin_truth().evaluate(d)
         hard = direct_bounds(d, lam1, pi)
-        soft = lse_bounds(d, lam1, pi, LseConfig("fixed", t=1e4))
+        soft = lse_bounds(d, lam1, pi, 1e4)
         assert soft.lower == pytest.approx(hard.lower, abs=1e-3)
         assert soft.upper == pytest.approx(hard.upper, abs=1e-3)
 
     def test_records_temperature(self):
         d = gen_margin(500, 2)
         lam1, pi = margin_truth().evaluate(d)
-        est = lse_bounds(d, lam1, pi, LseConfig("data-analysis"))
+        est = lse_bounds(d, lam1, pi)
         assert est.extra["t"] == pytest.approx(100 * 500 ** 0.25)
         assert est.method == "lse"
 
     def test_conservative_wider_than_wald(self):
         d = gen_margin(2000, 3)
         lam1, pi = margin_truth().evaluate(d)
-        est = lse_bounds(d, lam1, pi, LseConfig("fixed", t=30.0))
+        est = lse_bounds(d, lam1, pi, 30.0)
         lo_c, hi_c = conservative_interval(est)
         lo_w, hi_w = wald_interval(est)
         pad = np.log(8) / 30.0

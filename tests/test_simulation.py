@@ -10,7 +10,7 @@ from ivbounds.bounds import theta_profile
 from ivbounds.cli import main
 from ivbounds.crossfit import oracle_noisy_nuisance
 from ivbounds.estimators import ROW_BLOCK, direct_bounds, plugin_bounds, wald_interval
-from ivbounds.lse import LseConfig, conservative_interval, lse_bounds
+from ivbounds.lse import conservative_interval, lse_bounds
 from ivbounds.simulation import (
     _ILLU_BETA,
     MARGIN_H,
@@ -287,8 +287,7 @@ def reference_rmse(n_grid, r_grid, reps, seed, h=MARGIN_H):
                 data, lam1, pi = reference_replicate(truth, n, r, h, seed, rep)
                 for name, est in (
                     ("direct", direct_bounds(data, lam1, pi)),
-                    ("lse", lse_bounds(data, lam1, pi,
-                                       LseConfig("simulation", h=h, r=r))),
+                    ("lse", lse_bounds(data, lam1, pi, 2.0 * h * n ** r)),
                     ("plugin", plugin_bounds(data, lam1, pi)),
                 ):
                     errs[name].append((est.lower, est.upper))
@@ -311,7 +310,7 @@ def reference_coverage(n, reps, r, seed, h=MARGIN_H, alpha=0.05):
         lo, hi = wald_interval(direct_bounds(data, lam1, pi), alpha)
         hit_direct += lo <= 0.0 <= hi
         lo, hi = conservative_interval(
-            lse_bounds(data, lam1, pi, LseConfig("simulation", h=h, r=r)), alpha)
+            lse_bounds(data, lam1, pi, 2.0 * h * n ** r), alpha)
         hit_lse += lo <= 0.0 <= hi
     return {"n": n, "reps": reps, "r": r,
             "coverage_direct": hit_direct / reps,

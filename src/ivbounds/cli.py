@@ -5,7 +5,8 @@ Subcommands
 bounds      estimate ATE bounds from a CSV file and emit a JSON report
 simulate    run the margin-design RMSE experiment grid (JSON + long CSV)
 illustrate  emit the illustration design's true and estimated quantities
-check       run the LP-tightness oracle and core property suite
+check       check the closed-form bounds of random laws against the LP sharpness
+            oracle, and that they contain the ATE and nest in the natural bounds
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .crossfit import (DEFAULT_EPS, DEFAULT_FOLDS, check_cross_fit_settings, cro
 from .data import ColumnMapping, LoadError, load_csv
 from .estimators import direct_bounds, wald_interval
 from .learners import FitError, parse_learner_spec
-from .lse import conservative_interval, lse_bounds
+from .lse import check_temperature, conservative_interval, lse_bounds
 from .simulation import (gen_illustration, illustration_truth, rmse_experiment,
                          width_comparison)
 
@@ -90,7 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="drop the always/never-taker strata as in the published script")
     i.add_argument("--output", default=None)
 
-    c = sub.add_parser("check", help="run the tightness oracle and property suite")
+    what = ("check the closed-form bounds of random laws against the LP sharpness "
+            "oracle, and that they contain the ATE and nest in the natural bounds")
+    c = sub.add_parser("check", help=what, description=what)
     c.add_argument("--laws", type=int, default=1000)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--tol", type=float, default=1e-8)
@@ -152,10 +155,10 @@ def _cmd_bounds(args) -> int:
         covariates=[c for c in args.covariates.split(",") if c],
         instrument=args.instrument, exposure=args.exposure,
         outcome=args.outcome, weight=args.weights_col)
-    if args.t is not None and args.method != "lse":
-        raise ValueError("--t applies only to --method lse")
-    if args.t is not None and not 0 < args.t < float("inf"):  # nan fails too
-        raise ValueError(f"--t {args.t} is not positive and finite")
+    if args.t is not None:
+        if args.method != "lse":
+            raise ValueError("--t applies only to --method lse")
+        check_temperature(args.t, "--t")
     if args.method == "continuous":
         args.m = 20 if args.m is None else args.m  # the report's config shows it
         if args.m < 1:

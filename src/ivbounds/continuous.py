@@ -20,7 +20,7 @@ import numpy as np
 from .crossfit import FoldedNuisances, rng_stream
 from .data import Dataset
 from .estimators import BoundEstimate, _finish, direct_bounds
-from .lse import lse_bounds
+from .lse import check_temperature, lse_bounds
 
 __all__ = [
     "OutcomeTransform",
@@ -99,13 +99,20 @@ def continuous_bounds(data: Dataset, nuisances, m: int, seed: int,
     ``FoldedNuisances`` from one ``cross_fit`` of ``data`` keeps its folds and
     propensity, which do not read the outcome, and fits the joint cells of
     each pseudo-outcome; for m > 1 it keeps its knn neighbours, so later
-    replicates recount them with no search.  "lse" smooths at ``t`` as ``lse_bounds``.
+    replicates recount them with no search.  ``method`` is "direct" or "lse",
+    which smooths at ``t`` as ``lse_bounds``; a ``t`` with "direct" is rejected.
     Point estimates and per-row influence values are averaged across
     replicates before the variance is formed, so the reported variance
     reflects the dichotomization-noise reduction from larger m.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
+    if method not in ("direct", "lse"):
+        raise ValueError(f"method {method!r} is neither 'direct' nor 'lse'")
+    if t is not None:
+        if method != "lse":
+            raise ValueError("t applies only to method 'lse'")
+        check_temperature(t)
     if transform is None:
         transform = OutcomeTransform.from_data(data.y)
     if m > 1 and isinstance(nuisances, FoldedNuisances):

@@ -169,7 +169,9 @@ def load_csv(path, mapping: ColumnMapping,
     no comment, and ``_`` digit separators or non-ASCII digits are malformed.
     A row with a missing, malformed or non-finite required value, a non-0/1
     instrument, exposure or binary outcome, or a non-positive weight raises
-    ``LoadError`` with its code and row number (1-based, header is row 0).
+    ``LoadError`` with its code and row number (1-based, header is row 0), as
+    do finite weights whose total overflows (``weight-total-overflow``, at the
+    row where the running total first does).
     So does a field too long for ``csv`` in the header or in a record read
     to find a bad cell (``field-too-large``).
     """
@@ -206,5 +208,11 @@ def load_csv(path, mapping: ColumnMapping,
         _raise_first_error(path, required, usecols, kinds, int(flagged[0]) + 1)
     d = len(mapping.covariates)
     z, a, y, *w = table[:, d:].T.copy()  # contiguous columns
+    with np.errstate(over="ignore"):
+        if w and not np.isfinite(w[0].sum()):  # Dataset's test; the running sum names the row
+            over = np.flatnonzero(~np.isfinite(np.cumsum(w[0])))
+            row = int(over[0]) + 1 if over.size else len(w[0])
+            raise LoadError("weight-total-overflow",
+                            f"row {row}: weights sum to more than the largest float")
     return Dataset(table[:, :d].copy(), z, a, y, w[0] if w else None,
                    colnames=list(mapping.covariates), outcome_kind=outcome_kind)

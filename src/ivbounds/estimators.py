@@ -6,19 +6,19 @@ correction
 
     c[i, y, a, z] = 1(z_i = z) / lam_z(x_i) * (1(y_i = y, a_i = a) - pi[i, y, a, z]),
 
-and the one-step bound estimates average the candidate expressions
-evaluated at pi + c, selecting per row the candidate that is extreme at
-the plug-in pi.
+and the one-step bound estimates average, per row, the candidate that is
+extreme at the plug-in pi plus that candidate's linear part at c.
 
 ``BoundKernel`` computes what the direct, plug-in and smooth contributions
 share, once, on the cell-major layout of ``bounds``: pi is checked and laid
 out as eight cell columns when the kernel starts, the candidates at pi with
-their extremes and selectors follow, and c is built as cell columns on first
-use.  One block loop, ``_by_blocks``, runs every kernel: one per
-``ROW_BLOCK`` rows, whose per-row values it joins.  Each kernel step is
-row-wise, so the block size moves no bit.  Every estimate is finished once,
-by ``_finish`` over the joined values; ``simulation`` stacks its noise rates
-on the rows of a tiled dataset and takes each rate's means from one loop.
+their extremes and selectors follow, and the direct and smooth estimators
+share the linear candidates at c, built on first use.  One block loop,
+``_by_blocks``, runs every kernel: one per ``ROW_BLOCK`` rows, whose per-row
+values it joins.  Each kernel step is row-wise, so the block size moves no
+bit.  Every estimate is finished once, by ``_finish`` over the joined values;
+``simulation`` stacks its noise rates on the rows of a tiled dataset and
+takes each rate's means from one loop.
 """
 
 from __future__ import annotations
@@ -135,7 +135,8 @@ class BoundKernel:
     """Per-row pieces shared by the estimators at nuisances (lam1, pi): the
     cell columns of pi, the candidate columns (8, ...) at them (``cand_l``,
     ``cand_u``) with their extremes and 1-based selectors, and, on first
-    use, the correction's cell columns ``c``; ``_by_blocks`` runs one per block."""
+    use, ``c``, the linear lower and upper candidates at the correction;
+    ``_by_blocks`` runs one per block."""
 
     def __init__(self, data: Dataset, lam1: np.ndarray, pi: np.ndarray):
         self.data, self.lam1 = data, lam1
@@ -144,14 +145,14 @@ class BoundKernel:
          self.gamma_u, self.d_u) = _profile(self.cells)
 
     @functools.cached_property
-    def c(self) -> np.ndarray:
-        """The correction as cell columns (8, ...), read without a copy."""
-        return _cells(psi_correction(self.data, self.lam1, _rows(self.cells)), check=False)
+    def c(self) -> tuple[np.ndarray, np.ndarray]:
+        """The linear lower and upper candidates at the correction, each (8, ...)."""
+        c = _cells(psi_correction(self.data, self.lam1, _rows(self.cells)), check=False)
+        return _candidates(c, _LOWER, linear=True), _candidates(c, _UPPER, linear=True)
 
     def direct_phi(self) -> tuple[np.ndarray, np.ndarray]:
-        corrected = self.cells + self.c  # rows pick their candidates at pi + c
-        return (_select(_candidates(corrected, _LOWER), self.d_l),
-                _select(_candidates(corrected, _UPPER), self.d_u))
+        c_l, c_u = self.c
+        return self.gamma_l + _select(c_l, self.d_l), self.gamma_u + _select(c_u, self.d_u)
 
 
 ROW_BLOCK = 8192  # rows per kernel: its eight candidate columns (512 KiB) stay in L2

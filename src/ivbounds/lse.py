@@ -19,7 +19,7 @@ import functools
 
 import numpy as np
 
-from .bounds import _LOWER, _UPPER, _candidates, _last
+from .bounds import _last
 # The theta_* functions and psi_correction are imported only for
 # perfbench/spans.py, which traces them under this module's name too.
 from .bounds import theta_lower, theta_lower_linear, theta_upper, theta_upper_linear
@@ -31,6 +31,7 @@ __all__ = [
     "lse_grad",
     "lse_hess",
     "lse_bounds",
+    "check_temperature",
     "conservative_interval",
 ]
 
@@ -90,16 +91,23 @@ def lse_hess(v: np.ndarray, t: float) -> np.ndarray:
 
 def _smooth_phi(kernel: BoundKernel, t) -> tuple[np.ndarray, np.ndarray]:
     """Per-row smooth contributions: each row's lse plus its softmax-weighted
-    c, at temperature ``t`` (a float, or one per row of the kernel).  The
-    lower side smooths the candidates, the upper side their negatives, whose
-    max is -gamma_u."""
-    c = kernel.c
+    corrections, the kernel's linear candidates at c, at temperature ``t`` (a
+    float, or one per row of the kernel).  The lower side smooths the
+    candidates, the upper side their negatives, whose max is -gamma_u."""
+    c_l, c_u = kernel.c
     part, grad = _lse_gap(kernel.cand_l - kernel.gamma_l, t)
-    grad *= _candidates(c, _LOWER, linear=True)
+    grad *= c_l
     phi_l = (kernel.gamma_l + part) + _column_sum(grad)
     part, grad = _lse_gap(kernel.gamma_u - kernel.cand_u, t)
-    grad *= _candidates(c, _UPPER, linear=True)
+    grad *= c_u
     return phi_l, -(-kernel.gamma_u + part) + _column_sum(grad)
+
+
+def check_temperature(t, name: str = "t") -> float:
+    """``t`` as a float; a ValueError naming it ``name`` unless positive and finite."""
+    if not 0 < t < np.inf:  # nan fails too
+        raise ValueError(f"{name} {t} is not positive and finite")
+    return float(t)
 
 
 def lse_bounds(data: Dataset, lam1: np.ndarray, pi: np.ndarray,
@@ -108,10 +116,8 @@ def lse_bounds(data: Dataset, lam1: np.ndarray, pi: np.ndarray,
     and finite; None takes the data-analysis rule t = 100 n^{1/4} of the full n."""
     if t is None:
         t, rule = 100.0 * data.n ** 0.25, "data-analysis"
-    elif 0 < t < np.inf:  # nan fails too
-        t, rule = float(t), "fixed"
     else:
-        raise ValueError(f"temperature t = {t} is not positive and finite")
+        t, rule = check_temperature(t), "fixed"
     return _finish(data, *_by_blocks(data, lam1, pi, lambda k, rows: (
         *_smooth_phi(k, t), k.d_l, k.d_u)), "lse", {"t": t, "t_rule": rule})
 

@@ -24,7 +24,7 @@ from .crossfit import ClosedFormNuisance, oracle_noisy_nuisance, rng_stream
 from .data import Dataset
 # plugin_bounds is imported only for perfbench/spans.py, which traces it
 # under this module's name.
-from .estimators import _by_blocks, _mean, direct_bounds, plugin_bounds, wald_interval
+from .estimators import ROW_BLOCK, _by_blocks, _mean, direct_bounds, plugin_bounds, wald_interval
 from .lse import _smooth_phi, conservative_interval, lse_bounds
 
 __all__ = [
@@ -243,14 +243,13 @@ def _run_replicates(fn, tasks: list[tuple[int, int]]) -> list:
             raise
 
 
-def _rmse_replicate(n: int, rep: int, *, r_grid, chunk_rows: int, seed: int,
-                    h: float) -> list[dict]:
+def _rmse_replicate(n: int, rep: int, *, r_grid, seed: int, h: float) -> list[dict]:
     """Per rate, (lower, upper) of each estimator on replicate ``rep`` at ``n``,
-    its rates run in chunks of at most ``chunk_rows`` rows."""
+    its rates run in chunks of as many as fit in one ``ROW_BLOCK``, at least one."""
     data = gen_margin(n, seed, rep)
     noise = oracle_noisy_nuisance(margin_truth(), n, r_grid[0], h, seed, rep)
     logits = noise.truth_logits(data)  # checked once, rescaled per r
-    per_chunk = chunk_rows // n
+    per_chunk = max(1, ROW_BLOCK // n)
     return [b for lo in range(0, len(r_grid), per_chunk)
             for b in _bounds_by_rate(data, noise, logits, r_grid[lo:lo + per_chunk], h)]
 
@@ -262,13 +261,12 @@ def rmse_experiment(n_grid, r_grid, reps: int, seed: int,
     Nuisances are the closed-form truth perturbed on the logit scale by one
     N(h n^-r, h^2 n^-2r) draw per function, giving nuisance error of order
     n^-r.  True lower and upper bounds are both 0.  Rows are in (n, r) order.
-    Each (n, rep) stacks its rates on rows in chunks of at most max(n_grid)
-    rows, so small n shares one block loop across rates and no chunk's
-    nuisances outgrow those of the largest single-rate run.
+    Each (n, rep) stacks its rates on rows in chunks of max(1, ROW_BLOCK // n)
+    rates, so rates with n below ``ROW_BLOCK`` share one kernel and a chunk
+    outgrows one block only when a single rate does.
     """
     _check_design(n_grid, r_grid, reps)
-    replicate = partial(_rmse_replicate, r_grid=r_grid, chunk_rows=max(n_grid),
-                        seed=seed, h=h)
+    replicate = partial(_rmse_replicate, r_grid=r_grid, seed=seed, h=h)
     errs = _run_replicates(replicate, [(n, rep) for n in n_grid for rep in range(reps)])
     rows = []
     for k, n in enumerate(n_grid):

@@ -237,6 +237,10 @@ class TestBoundsCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "weights sum" in json.loads(captured.err)["message"]
+        # 179 weights of 1e306 sum below the largest float (1.797e308); 180 do not.
+        assert json.loads(captured.err) == {
+            "error": "weight-total-overflow",
+            "message": "row 180: weights sum to more than the largest float"}
 
     @pytest.mark.parametrize("flags", [
         ["--folds", "1"],

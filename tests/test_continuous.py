@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ivbounds.crossfit as crossfit
 from ivbounds.continuous import (
     OutcomeTransform,
     augment,
@@ -185,6 +186,26 @@ class TestContinuousBounds:
         data = gen_illustration(100, 7)
         with pytest.raises(ValueError):
             continuous_bounds(data, None, m=0, seed=0)
+
+    @pytest.mark.parametrize("method, t, message", [
+        ("Lse", None, "neither 'direct' nor 'lse'"),  # ran direct, labelled continuous-Lse
+        ("direct", -5.0, "only to method 'lse'"),  # t was ignored
+        ("direct", 5.0, "only to method 'lse'"),
+        ("lse", -1.0, "t -1.0 is not positive and finite"),  # failed after every fit
+        ("lse", np.nan, "not positive and finite"),
+        ("lse", np.inf, "not positive and finite"),
+    ])
+    def test_settings_rejected_before_any_fit(self, method, t, message, monkeypatch):
+        fits = []
+        fit = crossfit.fit_joint
+        monkeypatch.setattr(crossfit, "fit_joint",
+                            lambda *args, **kw: fits.append(1) or fit(*args, **kw))
+        data = gen_illustration(200, 7)
+        nuis = cross_fit(data, 2, parse_learner_spec("histogram"),
+                         parse_learner_spec("known:0.5"), seed=0)
+        with pytest.raises(ValueError, match=message):
+            continuous_bounds(data, nuis, m=5, seed=0, method=method, t=t)
+        assert fits == []
 
 
 class TestAveragedVariance:

@@ -421,6 +421,22 @@ class TestOversizedField:
         assert exc.value.code == "non-binary"
 
 
+class TestWeightTotalOverflow:
+    @pytest.mark.parametrize("weights, row", [(["1e308", "1e308", "1"], 2),
+                                              (["1", "1.5e308", "1e308"], 3)])
+    def test_cites_the_row_where_the_total_overflows(self, tmp_path, weights, row):
+        p = write_csv(tmp_path, "age,z,a,y,w\n" + "".join(
+            f"30,0,0,0,{w}\n" for w in weights))
+        with pytest.raises(LoadError) as exc:
+            load_csv(p, ColumnMapping(["age"], "z", "a", "y", weight="w"))
+        assert exc.value.code == "weight-total-overflow"
+        assert str(exc.value) == f"row {row}: weights sum to more than the largest float"
+
+    def test_a_total_below_the_largest_float_loads(self, tmp_path):
+        p = write_csv(tmp_path, "age,z,a,y,w\n30,0,0,0,1e308\n31,1,1,1,7e307\n")
+        assert load_csv(p, ColumnMapping(["age"], "z", "a", "y", weight="w")).n == 2
+
+
 class TestNonPositiveWeight:
     @pytest.mark.parametrize("value", ["-2", "0", "-0.0"])
     def test_cites_row(self, tmp_path, value):

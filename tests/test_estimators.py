@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 import ivbounds.estimators as estimators
 from ivbounds.bounds import (
+    _LOWER,
+    _UPPER,
     theta_lower,
     theta_lower_linear,
     theta_profile,
@@ -239,7 +241,8 @@ def reference_estimates(data, lam1, pi, t):
     th_l, th_u = theta_lower(pi), theta_upper(pi)
     d_l, d_u = np.argmax(th_l, axis=-1), np.argmin(th_u, axis=-1)
     c = reference_psi_correction(data, lam1, pi)
-    out["direct"] = (theta_lower(pi + c)[rows, d_l], theta_upper(pi + c)[rows, d_u])
+    out["direct"] = (th_l[rows, d_l] + theta_lower_linear(c)[rows, d_l],
+                     th_u[rows, d_u] + theta_upper_linear(c)[rows, d_u])
     out["plugin"] = (np.max(th_l, axis=-1), np.min(th_u, axis=-1))
     out["lse"] = (
         lse(th_l, t) + np.sum(lse_grad(th_l, t) * theta_lower_linear(c), axis=-1),
@@ -280,6 +283,30 @@ class TestKernelMatchesReference:
         d, lam1, pi = TestInvariance.random_inputs(seed, n, True)
         assert psi_correction(d, lam1, pi).tobytes() == reference_psi_correction(
             d, lam1, pi).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80),
+           unit_weights=st.booleans())
+    def test_direct_is_the_candidate_at_pi_plus_c(self, seed, n, unit_weights):
+        # In exact arithmetic the one-step contribution theta(pi)[d] +
+        # theta_linear(c)[d] is theta(pi + c)[d], the selected candidate at
+        # pi + c.  A candidate has at most L cells, so each form sums at most
+        # 2L + 1 terms (L of pi, L of c, a constant), none above the row's
+        # largest term M, and every partial sum is at most (2L + 1) M.  Each
+        # form rounds 2L times (L adds of pi + c and L along the chain; or
+        # L - 1 along each chain, one constant and one join), each rounding
+        # off by at most u (2L + 1) M with u = eps / 2, so the two forms
+        # differ by at most 4L (2L + 1) u M.
+        d, lam1, pi = TestInvariance.random_inputs(seed, n, unit_weights)
+        c = reference_psi_correction(d, lam1, pi)
+        longest = max(len(terms) for terms, _ in _LOWER + _UPPER)
+        big = np.maximum(1.0, np.maximum(np.abs(pi), np.abs(c)).reshape(n, 8).max(axis=1))
+        tol = 4 * longest * (2 * longest + 1) * (np.finfo(float).eps / 2) * big
+        est = direct_bounds(d, lam1, pi)
+        rows = np.arange(n)
+        for phi, theta, sel in ((est.phi_lower, theta_lower, est.d_lower),
+                                (est.phi_upper, theta_upper, est.d_upper)):
+            assert np.all(np.abs(phi - theta(pi + c)[rows, sel - 1]) <= tol)
 
     def test_correction_computed_once(self, monkeypatch):
         calls = []

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ivbounds.estimators as estimators
 import ivbounds.simulation as simulation
 from ivbounds.bounds import theta_profile
 from ivbounds.cli import main
@@ -339,13 +340,16 @@ class TestSharedKernelMatchesReference:
 
 @pytest.mark.parametrize("seed", [0, 9])
 def test_stacked_rates_change_no_number(seed):
-    # Rates are stacked on rows in chunks of at most max(n_grid) rows.  In
+    # Rates are stacked on rows in chunks of max(1, ROW_BLOCK // n) rates.  In
     # [500, 5000], n = 500 runs all nine rates as one chunk of 4,500 rows and
-    # n = 5000 each rate as a chunk of its own.  In [3000, 9000], n = 3000
-    # runs three rates per chunk of 9,000 rows, across a ROW_BLOCK boundary.
-    # Run one rate at a time, n alone sets the chunk, so no rows are shared.
+    # n = 5000 each rate as a chunk of its own.  In [1000], the grid's largest
+    # and only n runs eight rates as one chunk of 8,000 rows and the ninth
+    # alone.  In [3000, 9000], n = 3000 runs two rates per chunk of 6,000 rows
+    # and n = 9000 each rate as a chunk of its own, across a ROW_BLOCK
+    # boundary.  Run one rate at a time, each chunk holds one rate, so no rows
+    # are shared.
     r_grid = [round(0.10 + 0.05 * k, 2) for k in range(9)]
-    for n_grid in ([500, 5000], [3000, 9000]):
+    for n_grid in ([500, 5000], [1000], [3000, 9000]):
         stacked = rmse_experiment(n_grid, r_grid, reps=2, seed=seed)
         alone = [rmse_experiment([n], [r], reps=2, seed=seed)[0]
                  for n in n_grid for r in r_grid]
@@ -361,11 +365,23 @@ def test_replicate_traced_peak_grows_little_per_row():
     for n in (4 * ROW_BLOCK, 16 * ROW_BLOCK):
         tracemalloc.start()
         try:
-            simulation._rmse_replicate(n, 0, r_grid=[0.3], chunk_rows=n, seed=0, h=MARGIN_H)
+            simulation._rmse_replicate(n, 0, r_grid=[0.3], seed=0, h=MARGIN_H)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert (peaks[1] - peaks[0]) / (12 * ROW_BLOCK) <= 400
+
+
+def test_replicate_stacks_rates_up_to_one_block(monkeypatch):
+    # At n = 1000 a chunk holds ROW_BLOCK // n = 8 rates, so nine rates take
+    # two kernels: one over 8,000 rows and one over 1,000.
+    kernels = []
+    kernel = estimators.BoundKernel
+    monkeypatch.setattr(estimators, "BoundKernel",
+                        lambda data, *a: kernels.append(data.n) or kernel(data, *a))
+    r_grid = [round(0.10 + 0.05 * k, 2) for k in range(9)]
+    simulation._rmse_replicate(1000, 0, r_grid=r_grid, seed=0, h=MARGIN_H)
+    assert kernels == [8000, 1000]
 
 
 class TestDesignChecks:

@@ -28,7 +28,7 @@ from .crossfit import (DEFAULT_EPS, DEFAULT_FOLDS, check_cross_fit_settings, cro
 from .data import ColumnMapping, LoadError, load_csv
 from .estimators import direct_bounds, wald_interval
 from .learners import FitError, parse_learner_spec
-from .lse import check_temperature, conservative_interval, lse_bounds
+from .lse import check_temperature, lse_bounds
 from .simulation import (gen_illustration, illustration_truth, rmse_experiment,
                          width_comparison)
 
@@ -43,21 +43,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    b = sub.add_parser("bounds", help="estimate bounds from a CSV file")
+    what = "estimate ATE bounds from a CSV file and emit a JSON report"
+    b = sub.add_parser("bounds", help=what, description=what)
     b.add_argument("input", help="CSV file with a header row")
     b.add_argument("--covariates", required=True,
                    help="comma-separated covariate column names")
-    b.add_argument("--instrument", required=True)
-    b.add_argument("--exposure", required=True)
-    b.add_argument("--outcome", required=True)
-    b.add_argument("--weights-col", default=None)
-    b.add_argument("--method", choices=["direct", "lse", "continuous"],
-                   default="direct")
+    b.add_argument("--instrument", required=True, help="binary instrument column Z")
+    b.add_argument("--exposure", required=True, help="binary exposure column A")
+    b.add_argument("--outcome", required=True,
+                   help="outcome column Y: binary, or bounded with --method continuous")
+    b.add_argument("--weights-col", default=None, help="positive sampling-weight column")
+    b.add_argument("--method", choices=["direct", "lse", "continuous"], default="direct",
+                   help="one-step, smooth (log-sum-exp) or bounded-continuous-outcome "
+                        "estimator (default %(default)s)")
     b.add_argument("--learner-pi", default="histogram",
                    help="joint-cell learner spec, e.g. histogram, knn:50, softmax")
     b.add_argument("--learner-lambda", default="histogram",
                    help="propensity learner spec; known:<p> for a known design")
-    b.add_argument("--folds", type=int, default=DEFAULT_FOLDS)
+    b.add_argument("--folds", type=int, default=DEFAULT_FOLDS,
+                   help="cross-fitting folds (default %(default)s)")
     b.add_argument("--eps", type=float, default=DEFAULT_EPS,
                    help="propensity truncation level")
     b.add_argument("--t", type=float, default=None,
@@ -66,37 +70,53 @@ def build_parser() -> argparse.ArgumentParser:
                    help="threshold replicates (continuous only; default 20)")
     b.add_argument("--delta", type=float, default=0.05,
                    help="interval miscoverage level")
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--seed", type=int, default=0,
+                   help="seed of the folds and threshold draws, in [0, 2**32)")
     b.add_argument("--clamp", action="store_true",
                    help="clamp reported bounds into [-1, 1]")
     b.add_argument("--output", default=None, help="write JSON here instead of stdout")
 
-    s = sub.add_parser("simulate", help="margin-design RMSE experiment")
-    s.add_argument("--n-grid", default="500,1000,5000")
+    what = "run the margin-design RMSE experiment grid (JSON and long-format CSV)"
+    s = sub.add_parser("simulate", help="margin-design RMSE experiment", description=what)
+    s.add_argument("--n-grid", default="500,1000,5000",
+                   help="comma-separated sample sizes (default %(default)s)")
     s.add_argument("--r-grid", default=",".join(
-        f"{0.10 + 0.05 * k:.2f}" for k in range(9)))
-    s.add_argument("--reps", type=int, default=500)
-    s.add_argument("--seed", type=int, default=0)
+        f"{0.10 + 0.05 * k:.2f}" for k in range(9)),
+        help="comma-separated nuisance error rates r, for error of order n^-r")
+    s.add_argument("--reps", type=int, default=500,
+                   help="replicates per (n, r) cell (default %(default)s)")
+    s.add_argument("--seed", type=int, default=0, help="experiment seed, in [0, 2**32)")
     s.add_argument("--output", default=None, help="JSON output path")
     s.add_argument("--csv", default=None, help="long-format CSV output path")
 
-    i = sub.add_parser("illustrate", help="illustration-design truth and estimates")
-    i.add_argument("--n", type=int, default=5000)
-    i.add_argument("--folds", type=int, default=10)
-    i.add_argument("--seed", type=int, default=0)
-    i.add_argument("--delta", type=float, default=0.05)
-    i.add_argument("--learner-pi", default="histogram")
-    i.add_argument("--learner-lambda", default="known:0.5")
+    what = ("emit the illustration design's true bounds, its population bounds "
+            "under each covariate adjustment, and the estimate from one sample")
+    i = sub.add_parser("illustrate", help="illustration-design truth and estimates",
+                       description=what)
+    i.add_argument("--n", type=int, default=5000, help="sample size (default %(default)s)")
+    i.add_argument("--folds", type=int, default=10,
+                   help="cross-fitting folds (default %(default)s)")
+    i.add_argument("--seed", type=int, default=0,
+                   help="seed of the sample and the folds, in [0, 2**32)")
+    i.add_argument("--delta", type=float, default=0.05, help="interval miscoverage level")
+    i.add_argument("--learner-pi", default="histogram",
+                   help="joint-cell learner spec (default %(default)s)")
+    i.add_argument("--learner-lambda", default="known:0.5",
+                   help="propensity learner spec (default %(default)s)")
     i.add_argument("--appendix-f-compat", action="store_true",
                    help="drop the always/never-taker strata as in the published script")
-    i.add_argument("--output", default=None)
+    i.add_argument("--output", default=None, help="write JSON here instead of stdout")
 
     what = ("check the closed-form bounds of random laws against the LP sharpness "
             "oracle, and that they contain the ATE and nest in the natural bounds")
     c = sub.add_parser("check", help=what, description=what)
-    c.add_argument("--laws", type=int, default=1000)
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--tol", type=float, default=1e-8)
+    c.add_argument("--laws", type=int, default=1000,
+                   help="random laws to check (default %(default)s)")
+    c.add_argument("--seed", type=int, default=0,
+                   help="seed of the random laws, in [0, 2**32)")
+    c.add_argument("--tol", type=float, default=1e-8,
+                   help="largest gap allowed between the closed-form and LP bounds "
+                        "(default %(default)s)")
     return p
 
 
@@ -124,8 +144,8 @@ def _resolved_config(args) -> dict:
     return {k.replace("_", "-"): v for k, v in vars(args).items() if k not in skip}
 
 
-def _report(est, interval, args, diagnostics) -> dict:
-    lo, hi = interval
+def _report(est, args, diagnostics) -> dict:
+    lo, hi = wald_interval(est, args.delta)
     lower, upper = est.lower, est.upper
     warnings = []
     if est.crossed:
@@ -175,7 +195,6 @@ def _cmd_bounds(args) -> int:
         transform = OutcomeTransform.from_data(data.y)  # a constant outcome fails before any fit
         nuis = cross_fit(data, args.folds, pi_spec, lam_spec, args.seed, args.eps)
         est = continuous_bounds(data, nuis, args.m, args.seed, transform=transform)
-        interval = wald_interval(est, args.delta)
         diagnostics = {"outcome_scale": est.extra["scale"]}
     else:
         nuis = cross_fit(data, args.folds, pi_spec, lam_spec, args.seed, args.eps)
@@ -185,13 +204,9 @@ def _cmd_bounds(args) -> int:
             "simplex_max_violation": float(np.abs(pi.sum(axis=(1, 2)) - 1.0).max()),
             "nuisance": nuis.descriptor,
         }
-        if args.method == "lse":
-            est = lse_bounds(data, lam1, pi, args.t)
-            interval = conservative_interval(est, args.delta)
-        else:
-            est = direct_bounds(data, lam1, pi)
-            interval = wald_interval(est, args.delta)
-    _emit(_report(est, interval, args, diagnostics), args.output)
+        est = (lse_bounds(data, lam1, pi, args.t) if args.method == "lse"
+               else direct_bounds(data, lam1, pi))
+    _emit(_report(est, args, diagnostics), args.output)
     return 0
 
 

@@ -100,7 +100,8 @@ def continuous_bounds(data: Dataset, nuisances, m: int, seed: int,
     propensity, which do not read the outcome, and fits the joint cells of
     each pseudo-outcome; for m > 1 it keeps its knn neighbours, so later
     replicates recount them with no search.  ``method`` is "direct" or "lse",
-    which smooths at ``t`` as ``lse_bounds``; a ``t`` with "direct" is rejected.
+    which smooths at ``t`` as ``lse_bounds`` and keeps its ``t`` and ``t_rule``
+    in ``extra``; a ``t`` with "direct" is rejected.
     Point estimates and per-row influence values are averaged across
     replicates before the variance is formed, so the reported variance
     reflects the dichotomization-noise reduction from larger m.
@@ -128,6 +129,6 @@ def continuous_bounds(data: Dataset, nuisances, m: int, seed: int,
         acc_l += -est.phi_upper
         acc_u += -est.phi_lower
     extra = {"m": m, "outcome_low": transform.low, "outcome_high": transform.high,
-             "scale": transform.range}
+             "scale": transform.range, **est.extra}
     return _finish(data, acc_l / m, acc_u / m, None, None,
                    f"continuous-{method}", extra)

@@ -39,6 +39,9 @@ class Dataset:
     outcome_kind: str = "binary"
 
     def __post_init__(self):
+        if self.outcome_kind not in ("binary", "bounded-continuous"):
+            raise ValueError(f"outcome kind {self.outcome_kind!r} is neither 'binary' "
+                             "nor 'bounded-continuous'")
         self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
         if self.x.shape[0] == 1 and len(np.asarray(self.z)) != 1:
             self.x = self.x.T

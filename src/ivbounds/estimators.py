@@ -79,7 +79,8 @@ class BoundEstimate:
     whose weighted means are ``lower``/``upper``; variances are weighted
     second moments about those means.  ``d_lower``/``d_upper`` hold the
     1-based plug-in selector per row, or ``None`` when selection is not
-    tracked (replicate-averaged estimates).
+    tracked (replicate-averaged estimates).  An estimate smoothed at
+    temperature ``extra["t"]`` lies within ``smoothing_bias`` of each bound.
     """
 
     lower: float
@@ -102,6 +103,11 @@ class BoundEstimate:
     @property
     def se_upper(self) -> float:
         return float(np.sqrt(self.var_upper / self.n))
+
+    @property
+    def smoothing_bias(self) -> float:
+        """log(8)/t for an estimate smoothed at temperature t, else 0."""
+        return np.log(8.0) / self.extra["t"] if "t" in self.extra else 0.0
 
     def selection_frequencies(self) -> dict | None:
         if self.d_lower is None:
@@ -188,6 +194,7 @@ def plugin_bounds(data: Dataset, lam1: np.ndarray, pi: np.ndarray) -> BoundEstim
 
 
 def wald_interval(est: BoundEstimate, alpha: float = 0.05) -> tuple[float, float]:
-    """Outer confidence interval: lower end below L-hat, upper end above U-hat."""
-    z = z_quantile(alpha)
-    return est.lower - z * est.se_lower, est.upper + z * est.se_upper
+    """Outer confidence interval: lower end below L-hat, upper end above U-hat,
+    each widened by the estimate's smoothing bias."""
+    z, pad = z_quantile(alpha), est.smoothing_bias
+    return est.lower - pad - z * est.se_lower, est.upper + pad + z * est.se_upper

@@ -230,6 +230,8 @@ class KnnFrequency:
     def fit(self, X, labels, w):
         from scipy.spatial import cKDTree  # scipy takes ~0.45 s to import; only knn uses it
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        if not X.shape[1]:  # cKDTree accepts no columns, then its queries fail
+            raise ValueError("knn needs at least one covariate column")
         self.labels_ = _labels(labels, self.n_classes)
         self.tree_ = cKDTree(X)
         self.w_ = np.asarray(w, dtype=float)

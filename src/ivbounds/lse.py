@@ -3,8 +3,8 @@
 g_t(v) = (1/t) log sum_j exp(t v_j) approximates max(v) from above within
 log(k)/t; h_t(v) = -g_t(-v) approximates min(v) from below.  The smooth
 one-step estimator replaces the hard candidate selection with the softmax
-gradient of g_t, and its confidence interval is widened by log(8)/t on
-each side to cover the smoothing bias.
+gradient of g_t; ``wald_interval`` widens its interval by log(8)/t on each
+side, the estimate's ``smoothing_bias``.
 
 The kernel works on candidate columns (k, ...), the layout of ``bounds``:
 the max, the exponentials, the tie count and the sums are column chains,
@@ -24,7 +24,7 @@ from .bounds import _last
 # perfbench/spans.py, which traces them under this module's name too.
 from .bounds import theta_lower, theta_lower_linear, theta_upper, theta_upper_linear
 from .data import Dataset
-from .estimators import BoundEstimate, BoundKernel, _by_blocks, _finish, psi_correction, z_quantile
+from .estimators import BoundEstimate, BoundKernel, _by_blocks, _finish, psi_correction
 
 __all__ = [
     "lse",
@@ -32,7 +32,6 @@ __all__ = [
     "lse_hess",
     "lse_bounds",
     "check_temperature",
-    "conservative_interval",
 ]
 
 
@@ -120,13 +119,3 @@ def lse_bounds(data: Dataset, lam1: np.ndarray, pi: np.ndarray,
         t, rule = check_temperature(t), "fixed"
     return _finish(data, *_by_blocks(data, lam1, pi, lambda k, rows: (
         *_smooth_phi(k, t), k.d_l, k.d_u)), "lse", {"t": t, "t_rule": rule})
-
-
-def conservative_interval(est: BoundEstimate, alpha: float = 0.05) -> tuple[float, float]:
-    """Wald interval widened by log(8)/t per side to absorb smoothing bias."""
-    if est.method != "lse" or "t" not in est.extra:
-        raise ValueError("conservative interval requires a smooth estimate with a temperature")
-    t = est.extra["t"]
-    z = z_quantile(alpha)
-    pad = np.log(8.0) / t
-    return (est.lower - pad - z * est.se_lower, est.upper + pad + z * est.se_upper)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import platform
@@ -300,6 +301,18 @@ class TestBoundsCommand:
         assert err["error"] == "invalid-config"
         assert "--delta" in err["message"]
 
+    @pytest.mark.parametrize("learner", ["--learner-pi", "--learner-lambda"])
+    def test_knn_without_covariates_exits_2(self, tmp_path, capsys, learner):
+        # A traceback and exit 1 from SciPy's first neighbour query.
+        csv = write_illustration_csv(tmp_path / "d.csv", n=200)
+        rc = main(["bounds", str(csv), "--covariates", "", "--instrument", "z",
+                   "--exposure", "a", "--outcome", "y", learner, "knn:5"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "invalid-config", "message": "knn needs at least one covariate column"}
+
     def test_output_file(self, tmp_path, capsys):
         csv = write_illustration_csv(tmp_path / "d.csv", n=300)
         out = tmp_path / "report.json"
@@ -556,6 +569,22 @@ class TestOutputPaths:
         assert self.run("bounds", bad, out) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "non-binary"
         assert out.read_text() == "earlier report\n"
+
+
+def test_every_subcommand_and_option_has_help(capsys):
+    # argparse expands %(default)s only when it renders the help.
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {"bounds", "simulate", "illustrate", "check"}
+    for name, parser in sub.choices.items():
+        assert parser.description, name
+        for action in parser._actions:
+            if "-h" not in action.option_strings:
+                assert action.help and action.help.strip(), (name, action.dest)
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([name, "--help"])
+        assert exit_.value.code == 0
+        assert parser.description.split()[0] in capsys.readouterr().out
 
 
 def test_import_does_not_load_scipy():

@@ -14,7 +14,7 @@ from ivbounds.continuous import (
 )
 from ivbounds.crossfit import ClosedFormNuisance, cross_fit
 from ivbounds.data import Dataset
-from ivbounds.estimators import direct_bounds
+from ivbounds.estimators import direct_bounds, wald_interval, z_quantile
 from ivbounds.learners import KnnFrequency, parse_learner_spec
 from ivbounds.lse import lse_bounds
 from ivbounds.simulation import (
@@ -181,6 +181,32 @@ class TestContinuousBounds:
         continuous_bounds(data, nuis, m, seed=5)
         assert len(calls) == 2 * k * m
         assert len(searched) == 2 * k
+
+    def test_lse_interval_padded_by_smoothing_bias(self):
+        # On this sample the smooth estimate's Wald interval without the pad
+        # is inverted.
+        data = gen_illustration(3000, 0)
+        rng = np.random.default_rng(1)
+        data = data.replace_outcome(2.0 * data.y + rng.random(data.n), "bounded-continuous")
+        nuis = cross_fit(data, 5, parse_learner_spec("histogram"),
+                         parse_learner_spec("known:0.5"), seed=0)
+        est = continuous_bounds(data, nuis, m=3, seed=0, method="lse", t=5.0)
+        assert (est.extra["t"], est.extra["t_rule"]) == (5.0, "fixed")
+        z, pad = z_quantile(0.05), np.log(8.0) / 5.0
+        lo_w, hi_w = est.lower - z * est.se_lower, est.upper + z * est.se_upper
+        assert lo_w > hi_w
+        lo, hi = wald_interval(est)
+        assert lo == pytest.approx(lo_w - pad, rel=0, abs=1e-15)
+        assert hi == pytest.approx(hi_w + pad, rel=0, abs=1e-15)
+        assert lo <= hi
+
+    def test_direct_extra_keys(self):
+        data = gen_illustration(300, 2)
+        data = data.replace_outcome(data.y + 0.5, "bounded-continuous")
+        est = continuous_bounds(data, ClosedFormNuisance(illustration_lambda1,
+                                                         illustration_pi), m=2, seed=0)
+        assert list(est.extra) == ["m", "outcome_low", "outcome_high", "scale"]
+        assert est.smoothing_bias == 0.0
 
     def test_invalid_m(self):
         data = gen_illustration(100, 7)

@@ -91,6 +91,12 @@ class TestDataset:
             Dataset(x=np.zeros((4, 1)), z=[0, 1, 0, 1], a=[0, 1, 1, 0],
                     y=[0.0, 1.0, 0.0, 1.0], w=np.full(4, 1e308))
 
+    def test_unknown_outcome_kind_rejected(self):
+        # A misspelled kind skipped the 0/1 check of a binary outcome.
+        with pytest.raises(ValueError, match="'bianry' is neither"):
+            Dataset(np.zeros((3, 1)), [0, 1, 0], [0, 1, 1], [0.5, 2.0, 7.0],
+                    outcome_kind="bianry")
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Dataset(x=np.zeros((3, 1)), z=[0, 1], a=[0, 1], y=[0, 1])

@@ -187,6 +187,16 @@ class TestWaldInterval:
         lo80, hi80 = wald_interval(est, 0.20)
         assert lo95 < lo80 and hi80 < hi95
 
+    def test_direct_interval_is_unpadded(self):
+        # Only a smoothed estimate has a smoothing bias to pad by.
+        d = gen_margin(500, 12)
+        lam1, pi = margin_truth().evaluate(d)
+        est = direct_bounds(d, lam1, pi)
+        z = z_quantile(0.05)
+        assert est.smoothing_bias == 0.0
+        assert wald_interval(est) == (est.lower - z * est.se_lower,
+                                      est.upper + z * est.se_upper)
+
 
 class TestInvariance:
     """Estimates depend on the rows as a weighted set: neither their order

@@ -408,6 +408,11 @@ class TestKnnFrequency:
         _, want = model.tree_.query(query, k=50, workers=1)
         assert model.last_query_[1].tobytes() == want.tobytes()
 
+    def test_rows_without_columns_rejected(self):
+        # The tree was built, and its first query raised an IndexError.
+        with pytest.raises(ValueError, match="at least one covariate column"):
+            KnnFrequency(2, k=5).fit(np.zeros((10, 0)), np.zeros(10, int), np.ones(10))
+
     def test_relabel_rejects_other_rows(self):
         rng = np.random.default_rng(6)
         x, w = rng.random((30, 2)), np.ones(30)

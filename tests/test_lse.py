@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ivbounds.estimators import direct_bounds, wald_interval
+from ivbounds.estimators import direct_bounds, wald_interval, z_quantile
 from ivbounds.lse import (
     _lse_and_grad,
-    conservative_interval,
     lse,
     lse_bounds,
     lse_grad,
@@ -141,17 +140,13 @@ class TestLseBounds:
         d = gen_margin(2000, 3)
         lam1, pi = margin_truth().evaluate(d)
         est = lse_bounds(d, lam1, pi, 30.0)
-        lo_c, hi_c = conservative_interval(est)
-        lo_w, hi_w = wald_interval(est)
+        lo_c, hi_c = wald_interval(est)
+        z = z_quantile(0.05)
+        lo_w, hi_w = est.lower - z * est.se_lower, est.upper + z * est.se_upper
         pad = np.log(8) / 30.0
+        assert est.smoothing_bias == pad
         assert lo_c == pytest.approx(lo_w - pad)
         assert hi_c == pytest.approx(hi_w + pad)
-
-    def test_conservative_requires_smooth_estimate(self):
-        d = gen_margin(500, 4)
-        lam1, pi = margin_truth().evaluate(d)
-        with pytest.raises(ValueError):
-            conservative_interval(direct_bounds(d, lam1, pi))
 
 
 def reference_lse(v, t):

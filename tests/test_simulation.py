@@ -11,7 +11,7 @@ from ivbounds.bounds import theta_profile
 from ivbounds.cli import main
 from ivbounds.crossfit import oracle_noisy_nuisance
 from ivbounds.estimators import ROW_BLOCK, direct_bounds, plugin_bounds, wald_interval
-from ivbounds.lse import conservative_interval, lse_bounds
+from ivbounds.lse import lse_bounds
 from ivbounds.simulation import (
     _ILLU_BETA,
     MARGIN_H,
@@ -310,8 +310,7 @@ def reference_coverage(n, reps, r, seed, h=MARGIN_H, alpha=0.05):
         data, lam1, pi = reference_replicate(truth, n, r, h, seed, rep)
         lo, hi = wald_interval(direct_bounds(data, lam1, pi), alpha)
         hit_direct += lo <= 0.0 <= hi
-        lo, hi = conservative_interval(
-            lse_bounds(data, lam1, pi, 2.0 * h * n ** r), alpha)
+        lo, hi = wald_interval(lse_bounds(data, lam1, pi, 2.0 * h * n ** r), alpha)
         hit_lse += lo <= 0.0 <= hi
     return {"n": n, "reps": reps, "r": r,
             "coverage_direct": hit_direct / reps,

@@ -270,11 +270,13 @@ def _check_output(path: str) -> None:
 def _keep_freed_heap() -> None:
     """Keep freed heap memory in the whole calling process (importing ``ivbounds`` does not
     call this).  glibc's trimming made each bound kernel fault its temporaries in afresh:
-    ~53k minor faults, a third of ``simulate --reps 10`` (2-vCPU x86-64, glibc 2.36)."""
+    ~53k minor faults, a third of ``simulate --reps 10`` (2-vCPU x86-64, glibc 2.36).
+    One arena serves every thread, so the fit threads share its kept heap."""
     libc = ctypes.CDLL(None) if sys.platform != "win32" else None  # no CDLL(None) there
     if mallopt := getattr(libc, "mallopt", None):  # macOS has none; musl's ignores these
         mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD at its 64-bit maximum, not moved by frees
         mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+        mallopt(-8, 1)  # M_ARENA_MAX
 
 
 def main(argv=None) -> int:

@@ -12,6 +12,10 @@ each fold's joint cells for the outcome of the data it evaluates.  So the
 pseudo-outcomes of continuous mode, which differ in y alone, share one
 cross-fit.
 
+The fits are independent, each indexing its fold's complement in the full
+data.  From ``POOL_MIN_ROWS`` rows they run on one thread per usable CPU and
+predictions follow in the caller, so no number depends on the thread count.
+
 Randomness uses the Philox counter-based generator.  Streams are split by
 seeding ``SeedSequence`` with an explicit path of integers (master seed,
 then purpose, then replicate), so every fold/replication draws from its
@@ -20,6 +24,7 @@ own documented stream.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -45,6 +50,9 @@ __all__ = [
 
 DEFAULT_EPS = 0.01
 DEFAULT_FOLDS = 5
+# Rows from which the fits run on threads.  Below it two threads contending for the GIL
+# over many small NumPy calls ran slower than one (README "Performance" has the crossover).
+POOL_MIN_ROWS = 2 ** 16
 
 # Joint-model class index for the 4 cells per instrument arm, in the order
 # (y=0,a=0), (y=0,a=1), (y=1,a=0), (y=1,a=1): class = 2*y + a.
@@ -64,6 +72,37 @@ def rng_stream(seed: int, *path: int) -> np.random.Generator:
     if not all(0 <= v < 2 ** 32 for v in (seed, *path)):
         raise ValueError(f"stream path {(seed, *path)} has an entry outside [0, 2**32)")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *path])))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    affinity = getattr(os, "sched_getaffinity", None)  # macOS and Windows have none
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _in_task_order(fn, tasks: list[tuple], executor, first=None) -> list:
+    """``fn(*task)`` per task, results in task order, on ``executor(workers)`` with one
+    worker per usable CPU and task, submitted in the order of the key ``first``; with one
+    worker, here in turn.  The first failing task in task order raises, as serially."""
+    workers = min(_usable_cpus(), len(tasks))
+    if workers < 2:
+        return [fn(*task) for task in tasks]
+    with executor(workers) as pool:
+        futures = {i: pool.submit(fn, *tasks[i]) for i in sorted(
+            range(len(tasks)), key=None if first is None else lambda i: first(tasks[i]))}
+        try:
+            return [futures[i].result() for i in range(len(tasks))]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)  # do not run what is still queued
+            raise
+
+
+def _fits(fn, tasks: list[tuple], n: int) -> list:
+    """``fn(*task)`` for each task, in task order: on threads from ``POOL_MIN_ROWS`` rows."""
+    if n < POOL_MIN_ROWS:
+        return [fn(*task) for task in tasks]
+    from concurrent.futures import ThreadPoolExecutor  # not imported by a small request
+    return _in_task_order(fn, tasks, ThreadPoolExecutor)
 
 
 def expit(v):
@@ -98,10 +137,13 @@ def check_cross_fit_settings(n_folds: int, pi_learner: LearnerSpec,
         raise ValueError("need n >= 2K observations")
 
 
-def fit_propensity(data: Dataset, learner: LearnerSpec,
-                   eps: float = DEFAULT_EPS) -> Predictor:
-    """Predictor x -> P(Z=1 | X=x), truncated into [eps, 1-eps]."""
-    if data.n == 0:
+def fit_propensity(data: Dataset, learner: LearnerSpec, eps: float = DEFAULT_EPS,
+                   rows: np.ndarray | None = None) -> Predictor:
+    """Predictor x -> P(Z=1 | X=x), truncated into [eps, 1-eps], fitted on
+    the rows the boolean mask ``rows`` selects (every row by default)."""
+    train = slice(None) if rows is None else np.flatnonzero(rows)
+    z = data.z[train]
+    if not len(z):
         raise FitError("empty data")
     _check_propensity_settings(learner, eps)
     if learner.name == "known":
@@ -110,9 +152,9 @@ def fit_propensity(data: Dataset, learner: LearnerSpec,
         def raw(x):
             return np.full(x.shape[0], c)
     else:
-        if data.z.all() or not data.z.any():  # z is in {0, 1}
+        if z.all() or not z.any():  # z is in {0, 1}
             raise FitError("degenerate data: instrument takes a single value")
-        clf = make_classifier(learner, 2).fit(data.x, data.z, data.w)
+        clf = make_classifier(learner, 2).fit(data.x[train], z, data.w[train])
 
         def raw(x):
             return clf.predict_proba(x)[:, 1]
@@ -132,21 +174,24 @@ class JointCells:
 
 
 def fit_joint(data: Dataset, z: int, learner: LearnerSpec,
-              previous: JointCells | None = None) -> JointCells:
-    """Predictor x -> (n, 2, 2) cells P(Y=y, A=a | X=x, Z=z), indexed [y, a].
+              previous: JointCells | None = None,
+              rows: np.ndarray | None = None) -> JointCells:
+    """Predictor x -> (n, 2, 2) cells P(Y=y, A=a | X=x, Z=z), indexed [y, a],
+    fitted on the arm's rows among those the mask ``rows`` selects (every row by default).
 
     ``previous`` is this arm's predictor fitted by the same learner on rows
-    whose x, z and w equal ``data``'s.  A knn learner then keeps its tree
+    whose x, z and w equal these rows'.  A knn learner then keeps its tree
     and any neighbours it kept, and recounts the new outcome's labels
     (``KnnFrequency.relabel``, which checks the rows); every other learner
     is fitted afresh.
     """
-    if not np.all((data.y == 0) | (data.y == 1)):
-        raise FitError("joint cells need an outcome in {0, 1}")
-    arm = np.flatnonzero(data.z == z)  # take is faster than a boolean mask here
+    arm = np.flatnonzero(data.z == z if rows is None else rows & (data.z == z))  # take beats masks
     if not len(arm):
         raise FitError(f"no observations in instrument arm z={z}")
-    fit_args = (data.x.take(arm, axis=0), 2 * data.y.take(arm).astype(int) + data.a.take(arm),
+    y = data.y.take(arm)
+    if not np.all((y == 0) | (y == 1)):
+        raise FitError("joint cells need an outcome in {0, 1}")
+    fit_args = (data.x.take(arm, axis=0), 2 * y.astype(int) + data.a.take(arm),
                 data.w.take(arm))
     if learner.name == "knn" and previous is not None and previous.learner == learner:
         return JointCells(learner, previous.classifier.relabel(*fit_args))
@@ -181,18 +226,18 @@ class FoldedNuisances:
 
     def evaluate(self, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
         """Out-of-fold nuisances on the fitted rows; ``data`` may differ from
-        them in its outcome alone.  The propensity is ``lam1``, read-only."""
+        them in its outcome alone.  The propensity is ``lam1``, read-only.  Its
+        2K (fold, arm) fits are the pool's tasks, shared more evenly than K."""
         ref = self.fitted_on
         if data.n != ref.n or not all(
                 np.array_equal(a, b) for a, b in
                 ((data.x, ref.x), (data.z, ref.z), (data.w, ref.w))):
             raise ValueError("dataset differs from the rows the folds were fitted on")
-        # Every fit, and the last complement freed, before pi is allocated: a lower peak.
-        for k, arms in enumerate(self.joint):
-            train = data.subset(np.flatnonzero(self.folds != k))
-            self.joint[k] = tuple(fit_joint(train, z, self.pi_learner, cells)
-                                  for z, cells in enumerate(arms))
-        del train
+        # Every fit before pi is allocated: a lower peak.
+        cells = _fits(lambda k, z: fit_joint(data, z, self.pi_learner, self.joint[k][z],
+                                             self.folds != k),
+                      [(k, z) for k in range(len(self.joint)) for z in (0, 1)], data.n)
+        self.joint = list(zip(cells[::2], cells[1::2]))
         pi = np.empty((data.n, 2, 2, 2))
         for k, arms in enumerate(self.joint):
             idx = np.flatnonzero(self.folds == k)
@@ -224,13 +269,18 @@ def cross_fit(data: Dataset, n_folds: int, pi_learner: LearnerSpec,
     fitted by ``FoldedNuisances.evaluate``."""
     check_cross_fit_settings(n_folds, pi_learner, lambda_learner, eps, data.n)
     folds = fold_assignment(rng_stream(seed, 0).random(data.n), n_folds)
-    lam1 = np.empty(data.n)
-    for k in range(n_folds):
-        train = data.subset(np.flatnonzero(folds != k))
-        if train.z.all() or not train.z.any():
+    size = np.bincount(folds, minlength=n_folds)
+    ones = np.bincount(folds, weights=data.z, minlength=n_folds)  # rows with z = 1
+
+    def fit(k):
+        if ones.sum() - ones[k] in (0, data.n - size[k]):
             raise FitError(f"fold {k}: training complement lacks an instrument arm")
+        return fit_propensity(data, lambda_learner, eps, folds != k)
+
+    lam1 = np.empty(data.n)
+    for k, predict in enumerate(_fits(fit, [(k,) for k in range(n_folds)], data.n)):
         idx = np.flatnonzero(folds == k)
-        lam1[idx] = fit_propensity(train, lambda_learner, eps)(data.x[idx])
+        lam1[idx] = predict(data.x[idx])
     lam1.flags.writeable = False
     return FoldedNuisances(folds, lam1, pi_learner, [(None, None)] * n_folds,
                            {"pi": pi_learner.name, "lambda": lambda_learner.name,

@@ -14,6 +14,11 @@ import numpy as np
 __all__ = ["Dataset", "ColumnMapping", "LoadError", "load_csv"]
 
 
+def _check_outcome_kind(kind: str) -> None:
+    if kind not in ("binary", "bounded-continuous"):
+        raise ValueError(f"outcome kind {kind!r} is neither 'binary' nor 'bounded-continuous'")
+
+
 class LoadError(ValueError):
     """CSV ingestion failure with a machine-readable code."""
 
@@ -39,9 +44,7 @@ class Dataset:
     outcome_kind: str = "binary"
 
     def __post_init__(self):
-        if self.outcome_kind not in ("binary", "bounded-continuous"):
-            raise ValueError(f"outcome kind {self.outcome_kind!r} is neither 'binary' "
-                             "nor 'bounded-continuous'")
+        _check_outcome_kind(self.outcome_kind)
         self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
         if self.x.shape[0] == 1 and len(np.asarray(self.z)) != 1:
             self.x = self.x.T
@@ -176,8 +179,10 @@ def load_csv(path, mapping: ColumnMapping,
     do finite weights whose total overflows (``weight-total-overflow``, at the
     row where the running total first does).
     So does a field too long for ``csv`` in the header or in a record read
-    to find a bad cell (``field-too-large``).
+    to find a bad cell (``field-too-large``).  An unknown ``outcome_kind``
+    raises ``ValueError`` before the file is opened.
     """
+    _check_outcome_kind(outcome_kind)
     required = [*mapping.covariates, mapping.instrument, mapping.exposure,
                 mapping.outcome]
     kinds = ["real"] * len(mapping.covariates) + [

@@ -75,6 +75,9 @@ class HistogramPartition:
     they only add empty bins, which change no count, and the first of equal
     gains wins.  ``fit`` rejects non-finite covariates or weights with
     ``ValueError``, and sorts nothing at depth 0 (the ``constant`` learner).
+    Rows are int32 positions below 2**31 and labels uint8; a node frees its
+    cells once counted and each sorted array once its children hold their
+    parts: about 85 traced bytes per row with three features, unit weights.
     """
 
     def __init__(self, n_classes: int, max_depth: int = 4, min_cell: int = 25,
@@ -126,12 +129,14 @@ class HistogramPartition:
         levels = np.linspace(0, 1, self.n_thresholds + 2)[1:-1]
         # Cell index offset of (feature j, bin b): (j * n_bins + b) * k.
         offsets = np.arange(d * n_bins) * k
+        labels = labels.astype(np.min_scalar_type(k - 1))  # uint8 below 256 classes
+        pos = np.int32 if n < 2 ** 31 else np.intp  # row positions
         # Weights other than 1 are summed in row order, over a node's rows.
-        rows = None if np.all(w == 1) else np.arange(n)
+        rows = None if np.all(w == 1) else np.arange(n, dtype=pos)
         cell_of = None if rows is None else np.empty((d, n), dtype=np.intp)
         is_left = np.empty(n, dtype=bool)
         self.tree_ = {}
-        order = np.argsort(X.T, axis=1) if self.max_depth > 0 else None
+        order = np.argsort(X.T, axis=1).astype(pos, copy=False) if self.max_depth > 0 else None
         # (node, depth, labels (in row order if weighted), rows in row order
         # or None, (rows, values, labels) sorted per feature or None at the cap)
         stack = [(self.tree_, 0, labels, rows, None if order is None else (
@@ -163,6 +168,7 @@ class HistogramPartition:
                 cell += lab
             counts = np.bincount(cell.ravel(), weights=None if wt is None else np.tile(wt, d),
                                  minlength=d * n_bins * k).reshape(d, n_bins, k)
+            del cell
             # Counts left of each threshold, and right of each in reverse.
             sides = np.empty((2, d, n_bins - 1, k))
             np.cumsum(counts[:, :-1], axis=1, out=sides[0])
@@ -187,9 +193,13 @@ class HistogramPartition:
                 kids = [[np.compress(g, lab), np.compress(g, rows), None] for g in (go, ~go)]
             if depth + 1 < self.max_depth:  # children at the cap carry no sorts
                 go = is_left.take(order).ravel()
+                sort = list(sort)
+                del order, col, slab  # the sorted arrays are now held by sort alone
                 for kid, g in zip(kids, (go, ~go)):
                     g = np.flatnonzero(g)
-                    kid[2] = [a if a is None else a.take(g).reshape(d, -1) for a in sort]
+                    # The right child pops each array, freed once it has taken its part.
+                    arrays = sort if kid is kids[0] else (sort.pop(0) for _ in range(3))
+                    kid[2] = [a if a is None else a.take(g).reshape(d, -1) for a in arrays]
             stack.append((node["right"], depth + 1, *kids[1]))
             stack.append((node["left"], depth + 1, *kids[0]))
         return self

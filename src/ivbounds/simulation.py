@@ -13,14 +13,13 @@ Two data-generating processes:
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
 from functools import partial
 
 import numpy as np
 
 from .bounds import theta_profile
-from .crossfit import ClosedFormNuisance, oracle_noisy_nuisance, rng_stream
+from .crossfit import ClosedFormNuisance, _in_task_order, oracle_noisy_nuisance, rng_stream
 from .data import Dataset
 # plugin_bounds is imported only for perfbench/spans.py, which traces it
 # under this module's name.
@@ -210,37 +209,18 @@ def _bounds_by_rate(data, noise, logits, rates, h: float) -> list[dict]:
              for j, m in enumerate(("direct", "plugin", "lse"))} for i in range(len(rates))]
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # macOS and Windows have no sched_getaffinity
-        return os.cpu_count() or 1
-
-
 def _run_replicates(fn, tasks: list[tuple[int, int]]) -> list:
-    """``fn(n, rep)`` for each task, results in task order, on worker processes.
-
-    One worker per usable CPU, at most one per task.  Workers are forked where
-    the platform has fork, so they inherit the imported modules and the
-    allocator policy; elsewhere they start by its default method.  Only ``fn``'s
-    settings, the tasks and the results are pickled.  Tasks are submitted
-    largest n first, so the costliest ones do not start last.  Leaving the
-    ``with`` block joins every worker, whether the call returns or raises.
-    """
+    """``fn(n, rep)`` for each task, largest n first, by ``crossfit._in_task_order`` on
+    worker processes.  They are forked where the platform has fork, so they inherit the
+    imported modules and the allocator policy; elsewhere they start by its default method.
+    Only ``fn``'s settings, the tasks and the results are pickled."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     methods = multiprocessing.get_all_start_methods()  # the first is the default
     context = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
-    with ProcessPoolExecutor(min(_usable_cpus(), len(tasks)), mp_context=context) as pool:
-        futures = {i: pool.submit(fn, *tasks[i])
-                   for i in sorted(range(len(tasks)), key=lambda i: -tasks[i][0])}
-        try:
-            return [futures[i].result() for i in range(len(tasks))]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)  # do not run what is still queued
-            raise
+    return _in_task_order(fn, tasks, partial(ProcessPoolExecutor, mp_context=context),
+                          first=lambda task: -task[0])
 
 
 def _rmse_replicate(n: int, rep: int, *, r_grid, seed: int, h: float) -> list[dict]:

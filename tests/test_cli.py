@@ -1,9 +1,12 @@
 import argparse
+import concurrent.futures
 import json
 import os
 import platform
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,7 +20,7 @@ from ivbounds.cli import main
 from ivbounds.continuous import continuous_bounds
 from ivbounds.data import ColumnMapping, load_csv
 from ivbounds.estimators import wald_interval
-from ivbounds.learners import KnnFrequency, parse_learner_spec
+from ivbounds.learners import FitError, KnnFrequency, parse_learner_spec
 from ivbounds.simulation import gen_illustration
 
 
@@ -421,6 +424,90 @@ class TestContinuousReuse:
         assert rc == 0
         assert calls == {2: self.K, 4: 2 * self.K * self.M}
         assert len(searched) == 2 * self.K
+
+
+class TestFitPool:
+    """The cross-fit's fits on a thread pool, which small data takes once
+    ``POOL_MIN_ROWS`` is lowered to 0."""
+
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        """Set (usable CPUs, POOL_MIN_ROWS); returns the worker counts of the pools made."""
+        made = []
+
+        class Recorded(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, workers):
+                made.append(workers)
+                super().__init__(workers)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
+
+        def use(cpus, min_rows=crossfit.POOL_MIN_ROWS):
+            monkeypatch.setattr(crossfit, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(crossfit, "POOL_MIN_ROWS", min_rows)
+            return made
+        return use
+
+    def requests(self, tmp_path):
+        d = gen_illustration(600, 2)
+        wts = np.random.default_rng(0).exponential(size=d.n) + 0.05
+        binary = tmp_path / "b.csv"
+        binary.write_text("x1,x2,z,a,y,wt\n" + "".join(
+            f"{d.x[i, 0]},{d.x[i, 1]},{d.z[i]},{d.a[i]},{int(d.y[i])},{float(wts[i])!r}\n"
+            for i in range(d.n)))
+        continuous = write_continuous_csv(tmp_path / "c.csv")
+        bounds = ["bounds", str(binary), *BOUNDS_ARGS, "--folds", "3"]
+        return [bounds + ["--method", "direct"], bounds + ["--method", "lse"],
+                bounds + ["--method", "lse", "--weights-col", "wt"],
+                ["bounds", str(continuous), *BOUNDS_ARGS, "--method", "continuous", "--m", "3",
+                 "--learner-pi", "knn:20", "--learner-lambda", "softmax"],
+                ["illustrate", "--n", "1000", "--folds", "4"]]
+
+    def reports(self, capsys, argvs):
+        out = []
+        for argv in argvs:
+            assert main(argv) == 0
+            out.append(capsys.readouterr().out)
+        return out
+
+    def test_reports_do_not_depend_on_the_thread_count(self, tmp_path, capsys, pool):
+        argvs = self.requests(tmp_path)
+        made = pool(2)
+        serial = self.reports(capsys, argvs)
+        assert made == []  # below POOL_MIN_ROWS
+        pool(1, 0)
+        assert self.reports(capsys, argvs) == serial
+        assert made == []  # one CPU: the fits run in the caller
+        pool(2, 0)
+        assert self.reports(capsys, argvs) == serial
+        # cross_fit and evaluate, per request; continuous mode evaluates per replicate
+        assert made == [2] * (2 + 2 + 2 + (1 + 3) + 2)
+
+    @pytest.mark.parametrize("name", ["fit_propensity", "fit_joint"])
+    def test_first_failing_fold_reaches_caller(self, tmp_path, capsys, monkeypatch, pool,
+                                               name):
+        # Folds 1 and 3 fail, and fold 3 fails first on two threads; fold 1's
+        # error reaches the caller, as it does serially.
+        csv = write_illustration_csv(tmp_path / "d.csv", n=400)
+        folds = crossfit.fold_assignment(crossfit.rng_stream(0, 0).random(400), 4)
+        fit = getattr(crossfit, name)
+
+        def failing(*args):
+            k = folds[~args[-1]][0]  # the rows mask excludes fold k
+            if k == 1:
+                time.sleep(0.05)
+            if k in (1, 3):
+                raise FitError(f"fold {k} failed")
+            return fit(*args)
+        monkeypatch.setattr(crossfit, name, failing)
+        errors = []
+        for cpus, min_rows in ((2, crossfit.POOL_MIN_ROWS), (2, 0)):
+            made = pool(cpus, min_rows)
+            threads = threading.active_count()
+            assert main(["bounds", str(csv), *BOUNDS_ARGS, "--folds", "4"]) == 2
+            assert threading.active_count() == threads
+            errors.append(json.loads(capsys.readouterr().err))
+        assert made == [2] * (1 if name == "fit_propensity" else 2)  # one per fitting stage
+        assert errors == [{"error": "fit-error", "message": "fold 1 failed"}] * 2
 
 
 class TestOtherCommands:

@@ -109,6 +109,11 @@ class TestLoadCsv:
         assert d.n == 4
         np.testing.assert_allclose(d.x[:, 0], [30, 40, 50, 60])
 
+    def test_unknown_outcome_kind_rejected_before_reading(self, tmp_path):
+        # The kind was checked by Dataset, after the whole file was parsed.
+        with pytest.raises(ValueError, match="'bianry' is neither"):
+            load_csv(tmp_path / "does-not-exist.csv", MAPPING, outcome_kind="bianry")
+
     def test_non_binary_instrument_cites_row(self, tmp_path):
         rows = "\n".join("30,0,0,0" for _ in range(6))
         p = write_csv(tmp_path, f"age,z,a,y\n{rows}\n30,2,0,0\n")

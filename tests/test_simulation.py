@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import multiprocessing
 import tracemalloc
@@ -5,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ivbounds.crossfit as crossfit
 import ivbounds.estimators as estimators
 import ivbounds.simulation as simulation
 from ivbounds.bounds import theta_profile
@@ -234,10 +236,19 @@ class TestExperiments:
 class TestReplicatePool:
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_worker_count_changes_no_number(self, cpus, monkeypatch):
-        monkeypatch.setattr(simulation, "_usable_cpus", lambda: cpus)
+        # With one usable CPU the replicates run in the caller and start no pool.
+        monkeypatch.setattr(crossfit, "_usable_cpus", lambda: cpus)
+        pools = []
+
+        class Recorded(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, workers, **kwargs):
+                pools.append(workers)
+                super().__init__(workers, **kwargs)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
         assert rmse_experiment([60, 400], [0.1, 0.5], 3, 4) == reference_rmse(
             [60, 400], [0.1, 0.5], 3, 4)
         assert coverage_experiment(80, 5, 0.3, 4) == reference_coverage(80, 5, 0.3, 4)
+        assert pools == ([] if cpus == 1 else [3, 3])
 
     @pytest.mark.parametrize("experiment", [
         lambda: rmse_experiment([50, 100], [0.3], 3, 0),
@@ -254,6 +265,7 @@ class TestReplicatePool:
     def test_default_start_method_without_fork(self, monkeypatch):
         # Where the platform has no fork, workers start by its default method
         # (the first listed) and import the package afresh.
+        monkeypatch.setattr(crossfit, "_usable_cpus", lambda: 2)  # a pool on any host
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         methods, get_context = [], multiprocessing.get_context
         monkeypatch.setattr(multiprocessing, "get_context",

@@ -170,6 +170,13 @@ def _report(est, args, diagnostics) -> dict:
     }
 
 
+def _simplex_max_violation(pi: np.ndarray) -> float:
+    """max |sum of pi[i, :, :, z] - 1|, the cells added as ``pi.sum(axis=(1, 2))``
+    adds them, without its strided reduction."""
+    total = ((pi[:, 0, 0] + pi[:, 0, 1]) + pi[:, 1, 0]) + pi[:, 1, 1]
+    return float(np.abs(total - 1.0).max())
+
+
 def _cmd_bounds(args) -> int:
     mapping = ColumnMapping(
         covariates=[c for c in args.covariates.split(",") if c],
@@ -201,7 +208,7 @@ def _cmd_bounds(args) -> int:
         lam1, pi = nuis.evaluate(data)
         diagnostics = {
             "propensity_range": [float(lam1.min()), float(lam1.max())],
-            "simplex_max_violation": float(np.abs(pi.sum(axis=(1, 2)) - 1.0).max()),
+            "simplex_max_violation": _simplex_max_violation(pi),
             "nuisance": nuis.descriptor,
         }
         est = (lse_bounds(data, lam1, pi, args.t) if args.method == "lse"

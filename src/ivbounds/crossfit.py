@@ -14,7 +14,8 @@ cross-fit.
 
 The fits are independent, each indexing its fold's complement in the full
 data.  From ``POOL_MIN_ROWS`` rows they run on one thread per usable CPU and
-predictions follow in the caller, so no number depends on the thread count.
+predictions follow in the caller, so no number depends on the thread count;
+the bound kernel's row blocks take the same rule (``estimators._by_blocks``).
 
 Randomness uses the Philox counter-based generator.  Streams are split by
 seeding ``SeedSequence`` with an explicit path of integers (master seed,
@@ -254,10 +255,15 @@ def fold_assignment(u: np.ndarray, n_folds: int) -> np.ndarray:
 
     Rows are ranked by their draw and dealt round-robin, so sizes differ by
     at most one and a common permutation of rows and draws permutes the
-    assignment identically.
+    assignment identically.  Tied draws rank in row order (a stable sort);
+    distinct ones rank the same by NumPy's faster default sort.
     """
+    order = np.argsort(u)
+    s = np.take(u, order)
+    if not np.all(s[1:] > s[:-1]):  # only distinct draws rank alike under every sort
+        order = np.argsort(u, kind="stable")
     ranks = np.empty(len(u), dtype=int)
-    ranks[np.argsort(u, kind="stable")] = np.arange(len(u))
+    ranks[order] = np.arange(len(u))
     return ranks % n_folds
 
 

@@ -15,7 +15,8 @@ out as eight cell columns when the kernel starts, the candidates at pi with
 their extremes and selectors follow, and the direct and smooth estimators
 share the linear candidates at c, built on first use.  One block loop,
 ``_by_blocks``, runs every kernel: one per ``ROW_BLOCK`` rows, whose per-row
-values it joins.  Each kernel step is row-wise, so the block size moves no
+values it joins, on the cross-fit's threads from its row rule.  Each kernel
+step is row-wise, so neither the block size nor the thread count moves a
 bit.  Every estimate is finished once, by ``_finish`` over the joined values;
 ``simulation`` stacks its noise rates on the rows of a tiled dataset and
 takes each rate's means from one loop.
@@ -33,6 +34,7 @@ from .bounds import _LOWER, _UPPER, _candidates, _cells, _profile, _rows, _selec
 # The theta_* functions are imported only for perfbench/spans.py, which traces
 # them under this module's name as well as lse's.
 from .bounds import theta_lower, theta_lower_linear, theta_upper, theta_upper_linear
+from .crossfit import _fits
 from .data import Dataset
 
 __all__ = [
@@ -166,19 +168,15 @@ ROW_BLOCK = 8192  # rows per kernel: its eight candidate columns (512 KiB) stay 
 
 def _by_blocks(data: Dataset, lam1, pi, phi) -> list[np.ndarray]:
     """The per-row arrays of ``phi(kernel, rows)``, from one kernel per block
-    ``rows`` of at most ``ROW_BLOCK`` rows, joined over the blocks."""
+    ``rows`` of at most ``ROW_BLOCK`` rows, joined over the blocks.  The
+    blocks run as the cross-fit's fits do: on threads from its row rule."""
     lam1, pi = np.asarray(lam1, dtype=float), np.asarray(pi, dtype=float)
     if not data.n or lam1.shape != (data.n,) or pi.shape != (data.n, 2, 2, 2):
         raise ValueError(f"lam1 {lam1.shape} and pi {pi.shape} need the data's {data.n} "
                          "rows, and the data at least one")
-    joined = []
-    for lo in range(0, data.n, ROW_BLOCK):
-        rows = slice(lo, lo + ROW_BLOCK)
-        parts = phi(BoundKernel(data.subset(rows), lam1[rows], pi[rows]), rows)
-        joined = joined or [np.empty(data.n, part.dtype) for part in parts]
-        for full, part in zip(joined, parts):
-            full[rows] = part
-    return joined
+    parts = _fits(lambda rows: phi(BoundKernel(data.subset(rows), lam1[rows], pi[rows]), rows),
+                  [(slice(lo, lo + ROW_BLOCK),) for lo in range(0, data.n, ROW_BLOCK)], data.n)
+    return [np.concatenate(blocks) for blocks in zip(*parts)]
 
 
 def direct_bounds(data: Dataset, lam1: np.ndarray, pi: np.ndarray) -> BoundEstimate:

@@ -68,16 +68,18 @@ class HistogramPartition:
     they equal ``np.quantile`` bitwise; -0.0 is stored as 0.0.  A binary
     search of each sorted column gives the rows left of every threshold.
     With unit weights one ``np.bincount`` of the sorted labels counts the
-    (bin, class) cells: integer counts are exact in any order.  Other
+    (bin, class) cells: integer counts are exact in any order, so a child
+    takes its class counts from the sums of its side of the split.  Other
     weights are summed in row order, as a fit on the unsorted rows sums
-    them.  So the order ``np.argsort`` leaves ties in (-0.0 and 0.0 among
-    them) does not change a bit of the tree.  Repeated thresholds are kept:
-    they only add empty bins, which change no count, and the first of equal
-    gains wins.  ``fit`` rejects non-finite covariates or weights with
-    ``ValueError``, and sorts nothing at depth 0 (the ``constant`` learner).
-    Rows are int32 positions below 2**31 and labels uint8; a node frees its
-    cells once counted and each sorted array once its children hold their
-    parts: about 85 traced bytes per row with three features, unit weights.
+    them, once per node.  So the order ``np.argsort`` leaves ties in (-0.0
+    and 0.0 among them) does not change a bit of the tree.  Repeated
+    thresholds are kept: they only add empty bins, which change no count,
+    and the first of equal gains wins.  ``fit`` rejects non-finite
+    covariates or weights with ``ValueError``, and sorts nothing at depth 0
+    (the ``constant`` learner).  Rows are int32 positions below 2**31 and
+    labels uint8; a node frees its cells once counted and each sorted array
+    once its children hold their parts: about 85 traced bytes per row with
+    three features, unit weights.
     """
 
     def __init__(self, n_classes: int, max_depth: int = 4, min_cell: int = 25,
@@ -88,8 +90,10 @@ class HistogramPartition:
         self.n_thresholds = n_thresholds
         self.alpha = alpha
 
-    def _leaf(self, labels, w):
-        counts = np.bincount(labels, weights=w, minlength=self.n_classes)
+    def _leaf(self, labels, w, counts=None):
+        """The smoothed frequencies of the class ``counts``, by default those of ``labels``."""
+        if counts is None:
+            counts = np.bincount(labels, weights=w, minlength=self.n_classes)
         smoothed = counts + self.alpha
         return {"proba": smoothed / smoothed.sum()}
 
@@ -138,14 +142,17 @@ class HistogramPartition:
         self.tree_ = {}
         order = np.argsort(X.T, axis=1).astype(pos, copy=False) if self.max_depth > 0 else None
         # (node, depth, labels (in row order if weighted), rows in row order
-        # or None, (rows, values, labels) sorted per feature or None at the cap)
+        # or None, (rows, values, labels) sorted per feature or None at the
+        # cap, class counts or None)
         stack = [(self.tree_, 0, labels, rows, None if order is None else (
             order, np.take_along_axis(X.T, order, axis=1),
-            labels.take(order) if rows is None else None))]
+            labels.take(order) if rows is None else None), None)]
         while stack:
-            node, depth, lab, rows, sort = stack.pop()
+            node, depth, lab, rows, sort, total = stack.pop()
             wt = None if rows is None else w.take(rows)
-            node.update(self._leaf(lab, wt))
+            if total is None:
+                total = np.bincount(lab, weights=wt, minlength=k)
+            node.update(self._leaf(lab, wt, total))
             m = len(lab)
             if depth >= self.max_depth or m < 2 * self.min_cell or d == 0:
                 continue
@@ -174,7 +181,7 @@ class HistogramPartition:
             np.cumsum(counts[:, :-1], axis=1, out=sides[0])
             np.cumsum(counts[:, :0:-1], axis=1, out=sides[1])
             left, right = self._loglik(sides)
-            base = self._loglik(np.bincount(lab, weights=wt, minlength=k))
+            base = self._loglik(total)
             gain = left + right[:, ::-1] - base
             gain[(edges < self.min_cell) | (m - edges < self.min_cell)] = -np.inf
             best = gain.argmax(axis=1)
@@ -186,11 +193,13 @@ class HistogramPartition:
             e = edges[j, i]
             is_left[order[j, :e]] = True
             is_left[order[j, e:]] = False
-            if rows is None:  # the split feature's sorted labels, cut at e
-                kids = [[slab[j, :e], None, None], [slab[j, e:], None, None]]
+            if rows is None:  # the split feature's sorted labels, cut at e, and their counts
+                kids = [[slab[j, :e], None, None, sides[0, j, i]],
+                        [slab[j, e:], None, None, sides[1, j, n_bins - 2 - i]]]
             else:
                 go = is_left.take(rows)
-                kids = [[np.compress(g, lab), np.compress(g, rows), None] for g in (go, ~go)]
+                kids = [[np.compress(g, lab), np.compress(g, rows), None, None]
+                        for g in (go, ~go)]
             if depth + 1 < self.max_depth:  # children at the cap carry no sorts
                 go = is_left.take(order).ravel()
                 sort = list(sort)
@@ -276,11 +285,11 @@ class KnnFrequency:
             nbr = nbr.reshape(X.shape[0], self.k_)  # k_ = 1 gives a flat result
             if self.keep_:
                 self.last_query_ = (X.copy(), nbr)
-        counts = np.zeros((X.shape[0], self.n_classes))
-        lab = self.labels_[nbr]
-        wgt = self.w_[nbr]
-        for c in range(self.n_classes):
-            counts[:, c] = np.sum(wgt * (lab == c), axis=1)
+        # One bincount of (row, class) cells sums each row's weights in neighbour order.
+        cell = self.labels_.take(nbr).astype(np.intp, copy=False)
+        cell += np.arange(0, len(nbr) * self.n_classes, self.n_classes)[:, None]
+        counts = np.bincount(cell.ravel(), weights=self.w_.take(nbr).ravel(),
+                             minlength=len(nbr) * self.n_classes).reshape(-1, self.n_classes)
         counts += self.alpha
         return counts / counts.sum(axis=1, keepdims=True)
 

@@ -12,10 +12,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import ivbounds
 import ivbounds.cli as cli
 import ivbounds.crossfit as crossfit
+import ivbounds.estimators as estimators
 from ivbounds.cli import main
 from ivbounds.continuous import continuous_bounds
 from ivbounds.data import ColumnMapping, load_csv
@@ -326,6 +330,16 @@ class TestBoundsCommand:
         assert report["n"] == 300
 
 
+class TestSimplexDiagnostic:
+    @settings(max_examples=200, deadline=None)
+    @given(pi=hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.just(2), st.just(2),
+                                               st.just(2)),
+                         elements=st.floats(0.0, 1.0) | st.floats(-1e6, 1e6)))
+    def test_property_equals_the_strided_sum(self, pi):
+        want = np.abs(pi.sum(axis=(1, 2)) - 1.0).max()
+        assert np.float64(cli._simplex_max_violation(pi)).tobytes() == want.tobytes()
+
+
 class TestContinuousReuse:
     K, M, SEED = 3, 4, 5
     LEARNERS = ["--learner-pi", "knn:20", "--learner-lambda", "softmax"]
@@ -481,6 +495,21 @@ class TestFitPool:
         assert self.reports(capsys, argvs) == serial
         # cross_fit and evaluate, per request; continuous mode evaluates per replicate
         assert made == [2] * (2 + 2 + 2 + (1 + 3) + 2)
+
+    def test_kernel_blocks_do_not_depend_on_the_thread_count(self, tmp_path, capsys, pool,
+                                                              monkeypatch):
+        argvs = self.requests(tmp_path)[:3]  # direct, lse and weighted lse
+        made = pool(2)
+        whole = self.reports(capsys, argvs)  # 600 rows: one block
+        monkeypatch.setattr(estimators, "ROW_BLOCK", 128)  # five blocks
+        assert self.reports(capsys, argvs) == whole
+        assert made == []
+        pool(1, 0)
+        assert self.reports(capsys, argvs) == whole
+        assert made == []
+        pool(2, 0)
+        assert self.reports(capsys, argvs) == whole
+        assert made == [2] * 3 * 3  # cross_fit, evaluate and the kernel blocks, per request
 
     @pytest.mark.parametrize("name", ["fit_propensity", "fit_joint"])
     def test_first_failing_fold_reaches_caller(self, tmp_path, capsys, monkeypatch, pool,

@@ -64,6 +64,20 @@ class TestFoldAssignment:
             perm = rng.permutation(n)
             np.testing.assert_array_equal(folds[perm], fold_assignment(u[perm], n_folds))
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400),
+           n_folds=st.integers(1, 12), ties=st.sampled_from([0, 1, 4, 64]))
+    def test_property_equals_the_stable_rank(self, seed, n, n_folds, ties):
+        # ties = 0 draws distinct values, 1 repeats one draw in them, and
+        # larger values draw from that many levels.
+        rng = np.random.default_rng(seed)
+        u = rng.integers(0, ties, n) / ties if ties > 1 else rng.random(n)
+        if ties == 1 and n > 1:
+            u[rng.integers(n)] = u[rng.integers(n)]
+        ranks = np.empty(n, dtype=int)
+        ranks[np.argsort(u, kind="stable")] = np.arange(n)
+        np.testing.assert_array_equal(fold_assignment(u, n_folds), ranks % n_folds)
+
 
 class TestRngStreams:
     def test_distinct_paths_distinct_draws(self):

@@ -349,6 +349,34 @@ class TestPresortedSplitSearch:
             assert trees[0].count(b"threshold") >= 7
         assert calls == [(2, n)] * 16
 
+
+class TestNodeCounts:
+    """With unit weights a child takes its class counts from its side of the
+    parent's split; weighted nodes count their rows once."""
+
+    @pytest.mark.parametrize("weights", ["unit", "integer", "real"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_node_equals_its_rows_recounted(self, seed, weights):
+        rng = np.random.default_rng(seed)
+        n = 4000
+        X = np.column_stack([rng.random(n), np.round(rng.standard_normal(n), 1),
+                             rng.integers(0, 3, n)])
+        labels = 2 * (rng.random(n) < X[:, 0]) + (X[:, 1] > rng.standard_normal(n))
+        w = make_weights(rng, weights, n)
+        model = HistogramPartition(4, max_depth=5, min_cell=5).fit(X, labels, w)
+        stack, depth = [(model.tree_, np.arange(n), 0)], 0
+        while stack:
+            node, rows, level = stack.pop()
+            depth = max(depth, level)
+            want = model._leaf(labels[rows], w[rows])["proba"]
+            assert node["proba"].tobytes() == want.tobytes()
+            if "feature" in node:
+                left = X[rows, node["feature"]] <= node["threshold"]
+                stack += [(node["left"], rows[left], level + 1),
+                          (node["right"], rows[~left], level + 1)]
+        assert depth >= 3
+
+
 class TestFitWorkingSet:
     def test_traced_peak_per_training_row(self):
         # int32 row positions, uint8 labels, and a node's cell array and
@@ -417,6 +445,31 @@ class TestKnnFrequency:
         other = query[::-1] + 0.25
         assert (relabelled.predict_proba(other).tobytes()
                 == fresh.predict_proba(other).tobytes())
+
+    @staticmethod
+    def sequential_proba(model, nbr):
+        """The frequencies with each class's weights summed in neighbour order."""
+        lab, w = model.labels_[nbr], model.w_[nbr]
+        counts = np.stack([np.cumsum(w * (lab == c), axis=1)[:, -1]
+                           for c in range(model.n_classes)], axis=1)
+        counts += model.alpha
+        return counts / counts.sum(axis=1, keepdims=True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80), k=st.integers(1, 60),
+           n_classes=st.sampled_from([2, 3, 4]), weights=st.sampled_from(["unit", "real"]))
+    def test_property_counts_sum_in_neighbour_order(self, seed, n, k, n_classes, weights):
+        rng = np.random.default_rng(seed)
+        x, query = rng.random((n, 2)), rng.random((11, 2))
+        w = np.ones(n) if weights == "unit" else rng.exponential(size=n) + 0.05
+        first, second = (rng.integers(0, n_classes, n) for _ in range(2))
+        model = KnnFrequency(n_classes, k=k).fit(x, first, w).keep_neighbours()
+        got = model.predict_proba(query)
+        nbr = model.last_query_[1]
+        assert got.tobytes() == self.sequential_proba(model, nbr).tobytes()
+        relabelled = model.relabel(x, second, w)  # recounts the kept neighbours
+        got = relabelled.predict_proba(query)
+        assert got.tobytes() == self.sequential_proba(relabelled, nbr).tobytes()
 
     @pytest.mark.parametrize("grid", [2, 4, 16])
     def test_neighbours_do_not_depend_on_query_threads(self, grid):

@@ -286,7 +286,7 @@ def check_sharpness(laws, tol: float = 1e-8) -> dict:
     the natural bounds.  Returns a JSON-ready summary with every failure."""
     worst, failures = 0.0, []
     pis = np.array([response_type_pi(q) for q in laws]).reshape(-1, 2, 2, 2)
-    prof, natural = theta_profile(pis), natural_bounds(pis)  # one kernel for every law
+    prof = theta_profile(pis)  # one kernel for every law; candidate 0 is natural_bounds
     for i, q in enumerate(laws):
         lp = lp_sharp_bounds(pis[i])
         if lp is None:
@@ -297,7 +297,7 @@ def check_sharpness(laws, tol: float = 1e-8) -> dict:
         ate = response_type_ate(q)
         if not gl - 1e-9 <= ate <= gu + 1e-9:
             failures.append(f"law {i}: ATE {ate} outside [{gl}, {gu}]")
-        if not (natural[0][i] - 1e-12 <= gl and gu <= natural[1][i] + 1e-12):
+        if not (prof.theta_l[i, 0] - 1e-12 <= gl and gu <= prof.theta_u[i, 0] + 1e-12):
             failures.append(f"law {i}: sharp bounds escape the natural bounds")
     return {"laws": len(laws), "max_lp_gap": worst, "tolerance": tol,
             "failures": failures, "ok": worst <= tol and not failures}

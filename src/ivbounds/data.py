@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import copy
 import csv
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -145,17 +144,19 @@ def _records(fh):
         row_no += bool(record)
 
 
-def _raise_first_error(path, required, usecols, kinds, first_row=1):
-    """Raise the LoadError of the first bad record from ``first_row`` on.
+def _raise_first_error(path, required, usecols, kinds):
+    """Raise the LoadError of the first bad record.
 
-    Error path only: re-reading the records with ``csv`` names the cell that
-    the column-wise parse rejected or its validation flagged, and quotes it.
+    Error path only: re-reading the records with ``csv`` names and quotes the
+    first cell that the parse or ``Dataset`` rejected; with none, a weight total
+    that overflows is cited at the row where the running total first does (the
+    last row when only the pairwise one does).
     """
+    weights = []
     with open(path, newline="") as fh:
         records = (r for r in _records(fh) if r)
         next(records)  # the header
-        records = itertools.islice(records, first_row - 1, None)
-        for row_no, record in enumerate(records, start=first_row):
+        for row_no, record in enumerate(records, start=1):
             cells = [record[i] if i < len(record) else "" for i in usecols]
             if blank := [c for c, text in zip(required, cells) if not text.strip()]:
                 raise LoadError("missing-field", f"row {row_no}: missing value(s) for {blank}")
@@ -163,6 +164,13 @@ def _raise_first_error(path, required, usecols, kinds, first_row=1):
                 if error := _cell_error(text, kind):
                     raise LoadError(error[0],
                                     f"row {row_no}: column '{col}' value {text!r} {error[1]}")
+            if kinds[-1] == "weight":
+                weights.append(float(cells[-1].strip()))
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.sum(weights)):  # Dataset's test
+            row = min(int(np.isfinite(np.cumsum(weights)).sum()) + 1, len(weights))
+            raise LoadError("weight-total-overflow",
+                            f"row {row}: weights sum to more than the largest float")
     raise LoadError("malformed-numeric", f"{path}: data rows are not numeric")
 
 
@@ -185,7 +193,8 @@ def load_csv(path, mapping: ColumnMapping,
     _check_outcome_kind(outcome_kind)
     required = [*mapping.covariates, mapping.instrument, mapping.exposure,
                 mapping.outcome]
-    kinds = ["real"] * len(mapping.covariates) + [
+    d = len(mapping.covariates)
+    kinds = ["real"] * d + [
         "binary", "binary", "binary" if outcome_kind == "binary" else "real"]
     if mapping.weight:
         required.append(mapping.weight)
@@ -203,24 +212,10 @@ def load_csv(path, mapping: ColumnMapping,
                 warnings.simplefilter("ignore", UserWarning)  # no data rows
                 table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
                                    usecols=usecols, ndmin=2)
-        except ValueError:
+            if table.size:  # Dataset is the one check of the values
+                z, a, y, *w = table[:, d:].T.copy()  # contiguous columns
+                return Dataset(table[:, :d].copy(), z, a, y, w[0] if w else None,
+                               colnames=list(mapping.covariates), outcome_kind=outcome_kind)
+        except ValueError:  # the parse's or Dataset's; the row scan names the cell
             _raise_first_error(path, required, usecols, kinds)
-    if not table.size:
-        raise LoadError("empty-file", f"{path}: no data rows")
-    binary, weight = (np.array(kinds) == kind for kind in ("binary", "weight"))
-    bad = ~np.isfinite(table)
-    bad[:, binary] |= ~np.isin(table[:, binary], (0.0, 1.0))
-    bad[:, weight] |= table[:, weight] <= 0
-    flagged = np.flatnonzero(bad.any(axis=1))
-    if flagged.size:
-        _raise_first_error(path, required, usecols, kinds, int(flagged[0]) + 1)
-    d = len(mapping.covariates)
-    z, a, y, *w = table[:, d:].T.copy()  # contiguous columns
-    with np.errstate(over="ignore"):
-        if w and not np.isfinite(w[0].sum()):  # Dataset's test; the running sum names the row
-            over = np.flatnonzero(~np.isfinite(np.cumsum(w[0])))
-            row = int(over[0]) + 1 if over.size else len(w[0])
-            raise LoadError("weight-total-overflow",
-                            f"row {row}: weights sum to more than the largest float")
-    return Dataset(table[:, :d].copy(), z, a, y, w[0] if w else None,
-                   colnames=list(mapping.covariates), outcome_kind=outcome_kind)
+    raise LoadError("empty-file", f"{path}: no data rows")

@@ -63,11 +63,8 @@ def psi_correction(data: Dataset, lam1: np.ndarray, pi: np.ndarray) -> np.ndarra
         own = 1.0 / np.where(z == 1, lam1, 1.0 - lam1)  # 1 / lam_z in the row's own arm z
     if not np.all(np.isfinite(own)):
         raise ValueError("the correction needs 0 < lam1 < 1 in each row's own arm")
-    inv_lam = np.zeros((2,) + own.shape)  # per arm z: 1 / lam_z in own rows, else 0
-    np.copyto(inv_lam[0], own, where=z == 0)
-    np.copyto(inv_lam[1], own, where=z == 1)
-    observed = np.zeros((4, data.n))  # per (y, a) = cell // 2: 1(y_i = y, a_i = a)
-    observed[2 * data.y.astype(int) + data.a, np.arange(data.n)] = 1.0
+    inv_lam = own * (z == [[0], [1]])  # per arm z: 1 / lam_z in own rows, else 0
+    observed = 2 * data.y + data.a == np.arange(4)[:, None]  # row 2y + a: 1(y_i = y, a_i = a)
     c = observed.reshape(4, 1, data.n) - cells.reshape(4, 2, data.n)
     c *= inv_lam
     return _rows(c.reshape(cells.shape))

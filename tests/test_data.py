@@ -447,6 +447,48 @@ class TestWeightTotalOverflow:
         p = write_csv(tmp_path, "age,z,a,y,w\n30,0,0,0,1e308\n31,1,1,1,7e307\n")
         assert load_csv(p, ColumnMapping(["age"], "z", "a", "y", weight="w")).n == 2
 
+    @pytest.mark.parametrize("weights, row", [
+        (["1.7976931348623157e308"] + ["9e291"] * 15, 16),  # only the pairwise total
+        (["\x1c1e308\x1f", " 1e308 ", "1"], 2),             # padded cells
+    ])
+    def test_running_total_rule_edges(self, tmp_path, weights, row):
+        p = write_csv(tmp_path, "age,z,a,y,w\n" + "".join(
+            f"30,0,0,0,{w}\n" for w in weights))
+        with pytest.raises(LoadError) as exc:
+            load_csv(p, ColumnMapping(["age"], "z", "a", "y", weight="w"))
+        assert exc.value.code == "weight-total-overflow"
+        assert str(exc.value) == f"row {row}: weights sum to more than the largest float"
+
+    @pytest.mark.parametrize("weights, row", [
+        (["1e308", "1e308", None], 3),   # the total overflows at row 2, the cell is at 3
+        (["1e308", None, "1e308"], 2),   # the cell comes first
+        (["1.7976931348623157e308"] + ["9e291"] * 14 + [None], 16),
+    ])
+    def test_a_cell_fault_wins_wherever_it_sits(self, tmp_path, weights, row):
+        # None marks the row whose exposure is 3
+        p = write_csv(tmp_path, "age,z,a,y,w\n" + "".join(
+            "30,0,3,0,1\n" if w is None else f"30,0,0,0,{w}\n" for w in weights))
+        with pytest.raises(LoadError) as exc:
+            load_csv(p, ColumnMapping(["age"], "z", "a", "y", weight="w"))
+        assert (exc.value.code, str(exc.value)) == (
+            "non-binary", f"row {row}: column 'a' value '3' is not 0/1")
+
+
+class TestLateFault:
+    """A fault in the last of many rows is named at its row."""
+
+    @pytest.mark.parametrize("cells, code, quoted", [
+        ("30,0,3,0,1", "non-binary", "column 'a' value '3' is not 0/1"),
+        ("nan,0,0,0,1", "non-finite", "column 'age' value 'nan' is not finite"),
+        ("30,0,0,0,0", "non-positive-weight", "column 'w' value '0' is not positive"),
+        ("3x,0,0,0,1", "malformed-numeric", "column 'age' value '3x' is not numeric"),
+    ])
+    def test_last_of_5000_rows(self, tmp_path, cells, code, quoted):
+        p = write_csv(tmp_path, "age,z,a,y,w\n" + "30,1,1,1,2\n" * 4999 + cells + "\n")
+        with pytest.raises(LoadError) as exc:
+            load_csv(p, ColumnMapping(["age"], "z", "a", "y", weight="w"))
+        assert (exc.value.code, str(exc.value)) == (code, f"row 5000: {quoted}")
+
 
 class TestNonPositiveWeight:
     @pytest.mark.parametrize("value", ["-2", "0", "-0.0"])

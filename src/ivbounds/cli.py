@@ -172,9 +172,11 @@ def _report(est, args, diagnostics) -> dict:
 
 def _simplex_max_violation(pi: np.ndarray) -> float:
     """max |sum of pi[i, :, :, z] - 1|, the cells added as ``pi.sum(axis=(1, 2))``
-    adds them, without its strided reduction."""
-    total = ((pi[:, 0, 0] + pi[:, 0, 1]) + pi[:, 1, 0]) + pi[:, 1, 1]
-    return float(np.abs(total - 1.0).max())
+    adds them, without its strided reduction, in one (n, 2) buffer."""
+    total = pi[:, 0, 0] + pi[:, 0, 1]
+    total += pi[:, 1, 0]
+    total += pi[:, 1, 1]
+    return float(np.abs(np.subtract(total, 1.0, out=total), out=total).max())
 
 
 def _cmd_bounds(args) -> int:

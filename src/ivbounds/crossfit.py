@@ -12,8 +12,8 @@ each fold's joint cells for the outcome of the data it evaluates.  So the
 pseudo-outcomes of continuous mode, which differ in y alone, share one
 cross-fit.
 
-The fits are independent, each indexing its fold's complement in the full
-data.  From ``POOL_MIN_ROWS`` rows they run on one thread per usable CPU and
+The fits are independent, each reading its fold's complement in place: the
+learner gets the full arrays and the complement's row index.  From ``POOL_MIN_ROWS`` rows they run on one thread per usable CPU and
 predictions follow in the caller, so no number depends on the thread count;
 the bound kernel's row blocks take the same rule (``estimators._by_blocks``).
 
@@ -142,8 +142,8 @@ def fit_propensity(data: Dataset, learner: LearnerSpec, eps: float = DEFAULT_EPS
                    rows: np.ndarray | None = None) -> Predictor:
     """Predictor x -> P(Z=1 | X=x), truncated into [eps, 1-eps], fitted on
     the rows the boolean mask ``rows`` selects (every row by default)."""
-    train = slice(None) if rows is None else np.flatnonzero(rows)
-    z = data.z[train]
+    train = None if rows is None else np.flatnonzero(rows)
+    z = data.z if train is None else data.z.take(train)
     if not len(z):
         raise FitError("empty data")
     _check_propensity_settings(learner, eps)
@@ -155,7 +155,7 @@ def fit_propensity(data: Dataset, learner: LearnerSpec, eps: float = DEFAULT_EPS
     else:
         if z.all() or not z.any():  # z is in {0, 1}
             raise FitError("degenerate data: instrument takes a single value")
-        clf = make_classifier(learner, 2).fit(data.x[train], z, data.w[train])
+        clf = make_classifier(learner, 2).fit(data.x, data.z, data.w, train)
 
         def raw(x):
             return clf.predict_proba(x)[:, 1]
@@ -181,10 +181,10 @@ def fit_joint(data: Dataset, z: int, learner: LearnerSpec,
     fitted on the arm's rows among those the mask ``rows`` selects (every row by default).
 
     ``previous`` is this arm's predictor fitted by the same learner on rows
-    whose x, z and w equal these rows'.  A knn learner then keeps its tree
-    and any neighbours it kept, and recounts the new outcome's labels
-    (``KnnFrequency.relabel``, which checks the rows); every other learner
-    is fitted afresh.
+    whose x, z and w equal these rows'.  A classifier with ``relabel`` (knn)
+    then keeps its tree and any neighbours it kept, and recounts the new
+    outcome's labels (``KnnFrequency.relabel``, which checks the rows); every
+    other learner is fitted afresh.
     """
     arm = np.flatnonzero(data.z == z if rows is None else rows & (data.z == z))  # take beats masks
     if not len(arm):
@@ -192,9 +192,10 @@ def fit_joint(data: Dataset, z: int, learner: LearnerSpec,
     y = data.y.take(arm)
     if not np.all((y == 0) | (y == 1)):
         raise FitError("joint cells need an outcome in {0, 1}")
-    fit_args = (data.x.take(arm, axis=0), 2 * y.astype(int) + data.a.take(arm),
-                data.w.take(arm))
-    if learner.name == "knn" and previous is not None and previous.learner == learner:
+    labels = 2 * (data.y == 1).astype(np.int8) + data.a  # class 2y + a, read in the arm only
+    fit_args = (data.x, labels, data.w, arm)
+    if previous is not None and previous.learner == learner and hasattr(
+            previous.classifier, "relabel"):
         return JointCells(learner, previous.classifier.relabel(*fit_args))
     return JointCells(learner, make_classifier(learner, 4).fit(*fit_args))
 

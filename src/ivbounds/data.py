@@ -31,14 +31,15 @@ class Dataset:
     """Observations (x, z, a, y) with optional sampling weights.
 
     ``outcome_kind`` is "binary" or "bounded-continuous"; binary outcomes
-    must lie in {0, 1}.
+    must lie in {0, 1}.  Covariates, outcome and weights are stored as
+    float64, the instrument and exposure as int8.
     """
 
     x: np.ndarray          # (n, d) covariates
-    z: np.ndarray          # (n,) instrument in {0, 1}
-    a: np.ndarray          # (n,) exposure in {0, 1}
+    z: np.ndarray          # (n,) instrument in {0, 1}, int8
+    a: np.ndarray          # (n,) exposure in {0, 1}, int8
     y: np.ndarray          # (n,) outcome
-    w: np.ndarray | None = None
+    w: np.ndarray | None = None  # (n,) weights, ones by default
     colnames: list[str] = field(default_factory=list)
     outcome_kind: str = "binary"
 
@@ -66,7 +67,7 @@ class Dataset:
             raise ValueError("instrument must be binary")
         if not np.all((self.a == 0) | (self.a == 1)):
             raise ValueError("exposure must be binary")
-        self.z, self.a = self.z.astype(int, copy=False), self.a.astype(int, copy=False)
+        self.z, self.a = self.z.astype(np.int8, copy=False), self.a.astype(np.int8, copy=False)
         if self.outcome_kind == "binary" and not np.all((self.y == 0) | (self.y == 1)):
             raise ValueError("binary outcome kind requires y in {0, 1}")
         if np.any(self.w <= 0):
@@ -213,7 +214,8 @@ def load_csv(path, mapping: ColumnMapping,
                 table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
                                    usecols=usecols, ndmin=2)
             if table.size:  # Dataset is the one check of the values
-                z, a, y, *w = table[:, d:].T.copy()  # contiguous columns
+                # Each column is its own copy, so none keeps the parsed table alive.
+                z, a, y, *w = (table[:, j].copy() for j in range(d, table.shape[1]))
                 return Dataset(table[:, :d].copy(), z, a, y, w[0] if w else None,
                                colnames=list(mapping.covariates), outcome_kind=outcome_kind)
         except ValueError:  # the parse's or Dataset's; the row scan names the cell

@@ -15,9 +15,10 @@ out as eight cell columns when the kernel starts, the candidates at pi with
 their extremes and selectors follow, and the direct and smooth estimators
 share the linear candidates at c, built on first use.  One block loop,
 ``_by_blocks``, runs every kernel: one per ``ROW_BLOCK`` rows, whose per-row
-values it joins, on the cross-fit's threads from its row rule.  Each kernel
-step is row-wise, so neither the block size nor the thread count moves a
-bit.  Every estimate is finished once, by ``_finish`` over the joined values;
+values it writes into full-length arrays, on the cross-fit's threads from
+its row rule.  Each kernel step is row-wise, so neither the block size nor
+the thread count moves a bit.  Every estimate is finished once, by
+``_finish`` over the joined values;
 ``simulation`` stacks its noise rates on the rows of a tiled dataset and
 takes each rate's means from one loop.
 """
@@ -25,6 +26,7 @@ takes each rate's means from one loop.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -138,10 +140,10 @@ def _finish(data, lower_phi, upper_phi, d_l, d_u, method, extra) -> BoundEstimat
 
 class BoundKernel:
     """Per-row pieces shared by the estimators at nuisances (lam1, pi): the
-    cell columns of pi, the candidate columns (8, ...) at them (``cand_l``,
-    ``cand_u``) with their extremes and 1-based selectors, and, on first
-    use, ``c``, the linear lower and upper candidates at the correction;
-    ``_by_blocks`` runs one per block."""
+    cell columns of pi (until ``c`` is built), the candidate columns (8, ...)
+    at them (``cand_l``, ``cand_u``) with their extremes and 1-based
+    selectors, and, on first use, ``c``, the linear lower and upper
+    candidates at the correction; ``_by_blocks`` runs one per block."""
 
     def __init__(self, data: Dataset, lam1: np.ndarray, pi: np.ndarray):
         self.data, self.lam1 = data, lam1
@@ -151,8 +153,11 @@ class BoundKernel:
 
     @functools.cached_property
     def c(self) -> tuple[np.ndarray, np.ndarray]:
-        """The linear lower and upper candidates at the correction, each (8, ...)."""
-        c = _cells(psi_correction(self.data, self.lam1, _rows(self.cells)), check=False)
+        """The linear lower and upper candidates at the correction, each (8, ...).
+        The cell columns of pi are read only here, and dropped."""
+        pi, self.cells = _rows(self.cells), None
+        c = _cells(psi_correction(self.data, self.lam1, pi), check=False)
+        del pi
         return _candidates(c, _LOWER, linear=True), _candidates(c, _UPPER, linear=True)
 
     def direct_phi(self) -> tuple[np.ndarray, np.ndarray]:
@@ -164,16 +169,25 @@ ROW_BLOCK = 8192  # rows per kernel: its eight candidate columns (512 KiB) stay 
 
 
 def _by_blocks(data: Dataset, lam1, pi, phi) -> list[np.ndarray]:
-    """The per-row arrays of ``phi(kernel, rows)``, from one kernel per block
-    ``rows`` of at most ``ROW_BLOCK`` rows, joined over the blocks.  The
-    blocks run as the cross-fit's fits do: on threads from its row rule."""
+    """The per-row arrays of ``phi(kernel, rows)``, one kernel per block ``rows`` of
+    at most ``ROW_BLOCK`` rows writing into the arrays the first to finish allocates.
+    The blocks run as the cross-fit's fits do: on threads from its row rule."""
     lam1, pi = np.asarray(lam1, dtype=float), np.asarray(pi, dtype=float)
     if not data.n or lam1.shape != (data.n,) or pi.shape != (data.n, 2, 2, 2):
         raise ValueError(f"lam1 {lam1.shape} and pi {pi.shape} need the data's {data.n} "
                          "rows, and the data at least one")
-    parts = _fits(lambda rows: phi(BoundKernel(data.subset(rows), lam1[rows], pi[rows]), rows),
-                  [(slice(lo, lo + ROW_BLOCK),) for lo in range(0, data.n, ROW_BLOCK)], data.n)
-    return [np.concatenate(blocks) for blocks in zip(*parts)]
+    out, lock = [], threading.Lock()
+
+    def block(rows):
+        parts = phi(BoundKernel(data.subset(rows), lam1[rows], pi[rows]), rows)
+        with lock:
+            if not out:
+                out.extend(np.empty(data.n, dtype=part.dtype) for part in parts)
+        for full, part in zip(out, parts):
+            full[rows] = part
+
+    _fits(block, [(slice(lo, lo + ROW_BLOCK),) for lo in range(0, data.n, ROW_BLOCK)], data.n)
+    return out
 
 
 def direct_bounds(data: Dataset, lam1: np.ndarray, pi: np.ndarray) -> BoundEstimate:

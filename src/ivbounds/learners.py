@@ -1,10 +1,13 @@
 """Built-in nuisance learners.
 
-All classifiers share the interface ``fit(X, labels, w)`` /
-``predict_proba(X) -> (n, k)`` with rows on the k-simplex; ``fit`` rejects
-a label outside {0, ..., k - 1} with ``ValueError``.  Frequency-based
-learners apply Laplace smoothing so no predicted cell is exactly 0 or 1.
-The ``constant`` learner is a ``HistogramPartition`` of depth 0.
+All classifiers share the interface ``fit(X, labels, w, rows=None)`` /
+``predict_proba(X) -> (n, k)`` with rows on the k-simplex.  ``fit`` takes
+the full arrays and trains on their ``rows`` (an index; every row by
+default), with the bits a fit on ``X[rows], labels[rows], w[rows]`` gives;
+it rejects a training label outside {0, ..., k - 1} with ``ValueError``.
+Frequency-based learners apply Laplace smoothing so no predicted cell is
+exactly 0 or 1.  The ``constant`` learner is a ``HistogramPartition`` of
+depth 0.
 """
 
 from __future__ import annotations
@@ -32,6 +35,12 @@ class FitError(RuntimeError):
     pass
 
 
+def _training(rows, *arrays) -> list:
+    """Each array's training ``rows`` (taken along the first axis), or the
+    array itself when ``rows`` is None."""
+    return [np.asarray(a) if rows is None else np.asarray(a).take(rows, axis=0) for a in arrays]
+
+
 def _labels(labels, n_classes: int) -> np.ndarray:
     """``labels`` as an array; ``ValueError`` unless each lies in {0, ..., n_classes - 1}."""
     labels = np.asarray(labels)
@@ -57,7 +66,9 @@ class HistogramPartition:
     gain wins; a later feature wins only with a strictly greater gain, and
     no split is made unless the gain exceeds 1e-12.
 
-    ``fit`` argsorts each column once.  A node carries, per feature, its
+    ``fit`` takes one training column at a time (``X[:, j].take(rows)``),
+    argsorts it once and gathers its values and labels by the intp result; the
+    sorted positions are stored as int32.  A node carries, per feature, its
     rows sorted by that feature, their values and, with unit weights, their
     labels; a child takes its part of each (one ``take`` of the positions
     ``np.flatnonzero`` finds on its side), so it stays sorted (presorted
@@ -67,19 +78,20 @@ class HistogramPartition:
     quantile rule (virtual index ``(m - 1) q``, then NumPy's ``_lerp``), so
     they equal ``np.quantile`` bitwise; -0.0 is stored as 0.0.  A binary
     search of each sorted column gives the rows left of every threshold.
-    With unit weights one ``np.bincount`` of the sorted labels counts the
-    (bin, class) cells: integer counts are exact in any order, so a child
-    takes its class counts from the sums of its side of the split.  Other
-    weights are summed in row order, as a fit on the unsorted rows sums
-    them, once per node.  So the order ``np.argsort`` leaves ties in (-0.0
-    and 0.0 among them) does not change a bit of the tree.  Repeated
-    thresholds are kept: they only add empty bins, which change no count,
-    and the first of equal gains wins.  ``fit`` rejects non-finite
-    covariates or weights with ``ValueError``, and sorts nothing at depth 0
-    (the ``constant`` learner).  Rows are int32 positions below 2**31 and
-    labels uint8; a node frees its cells once counted and each sorted array
-    once its children hold their parts: about 85 traced bytes per row with
-    three features, unit weights.
+    With unit weights one ``np.bincount`` per feature of the sorted labels
+    counts its (bin, class) cells: integer counts are exact in any order, so
+    a child takes its class counts from the sums of its side of the split.
+    Other weights are summed in row order, as a fit on the unsorted rows sums
+    them, once per node, from each row's int32 cell code.  So the order
+    ``np.argsort`` leaves ties in (-0.0 and 0.0 among them) does not change
+    a bit of the tree.  Repeated thresholds are kept: they only add empty
+    bins, which change no count, and the first of equal gains wins.  ``fit``
+    rejects non-finite training covariates or weights with ``ValueError``,
+    and sorts nothing at depth 0 (the ``constant`` learner).  Rows are int32
+    positions below 2**31 and labels uint8; a node frees its cells once
+    counted and each sorted array once its children hold their parts: about
+    85 traced bytes per training row with three features and unit weights
+    (102 with other weights), and no copy of the full arrays.
     """
 
     def __init__(self, n_classes: int, max_depth: int = 4, min_cell: int = 25,
@@ -122,31 +134,49 @@ class HistogramPartition:
         np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
         return out
 
-    def fit(self, X, labels, w):
+    def _presort(self, X, rows, labels, pos):
+        """Check each training column finite; unless at depth 0, return per feature its
+        rows in sorted order (dtype ``pos``), their values and, given ``labels``, theirs."""
+        n = X.shape[0] if rows is None else len(rows)
+        sort = None if self.max_depth == 0 else [
+            np.empty((X.shape[1], n), dtype=pos), np.empty((X.shape[1], n)),
+            None if labels is None else np.empty((X.shape[1], n), dtype=labels.dtype)]
+        for j in range(X.shape[1]):  # one training column at a time
+            col = X[:, j] if rows is None else X[:, j].take(rows)
+            if not np.all(np.isfinite(col)):
+                raise ValueError("histogram fit needs finite covariates and weights")
+            if sort is not None:
+                order = np.argsort(col)  # intp: it gathers faster than int32
+                sort[0][j], sort[1][j] = order, col.take(order)
+                if labels is not None:
+                    sort[2][j] = labels.take(order)
+        return sort
+
+    def fit(self, X, labels, w, rows=None):
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        labels, w = _training(rows, labels, w)
         labels = _labels(labels, self.n_classes)
         w = np.asarray(w, dtype=float)
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(w))):
+        if not np.all(np.isfinite(w)):
             raise ValueError("histogram fit needs finite covariates and weights")
-        n, d = X.shape
+        n, d = len(labels), X.shape[1]
         k, n_bins = self.n_classes, self.n_thresholds + 1
         levels = np.linspace(0, 1, self.n_thresholds + 2)[1:-1]
-        # Cell index offset of (feature j, bin b): (j * n_bins + b) * k.
-        offsets = np.arange(d * n_bins) * k
         labels = labels.astype(np.min_scalar_type(k - 1))  # uint8 below 256 classes
         pos = np.int32 if n < 2 ** 31 else np.intp  # row positions
+        unit = bool(np.all(w == 1))
+        w = None if unit else w  # unit weights are counted, never read
+        offsets = np.arange(n_bins) * k  # cell index offset of bin b: b * k
+        sort = self._presort(X, rows, labels if unit else None, pos)
         # Weights other than 1 are summed in row order, over a node's rows.
-        rows = None if np.all(w == 1) else np.arange(n, dtype=pos)
-        cell_of = None if rows is None else np.empty((d, n), dtype=np.intp)
+        rows = None if unit else np.arange(n, dtype=pos)
+        cell_of = None if unit else np.empty(n, dtype=np.int32)  # one feature's cell per row
         is_left = np.empty(n, dtype=bool)
         self.tree_ = {}
-        order = np.argsort(X.T, axis=1).astype(pos, copy=False) if self.max_depth > 0 else None
         # (node, depth, labels (in row order if weighted), rows in row order
         # or None, (rows, values, labels) sorted per feature or None at the
         # cap, class counts or None)
-        stack = [(self.tree_, 0, labels, rows, None if order is None else (
-            order, np.take_along_axis(X.T, order, axis=1),
-            labels.take(order) if rows is None else None), None)]
+        stack = [(self.tree_, 0, labels, rows, sort, None)]
         while stack:
             node, depth, lab, rows, sort, total = stack.pop()
             wt = None if rows is None else w.take(rows)
@@ -163,19 +193,19 @@ class HistogramPartition:
             # with feature j in (thr[j, i - 1], thr[j, i]] fall in bin i.
             bounds = np.empty((d, n_bins + 1), dtype=np.intp)
             bounds[:, 0], bounds[:, -1] = 0, m
-            for j in range(d):
+            counts = np.empty((d, n_bins, k), dtype=np.intp if rows is None else float)
+            for j in range(d):  # one feature's bins and (bin, class) cells at a time
                 bounds[j, 1:-1] = col[j].searchsorted(thr[j], side="right")
-            edges = bounds[:, 1:-1]
-            cell = offsets.repeat((bounds[:, 1:] - bounds[:, :-1]).ravel())
-            if rows is None:  # unit weights: integer counts, exact in any order
-                cell += slab.ravel()
-            else:  # each row's cell back in row order, to sum weights in it
-                np.put_along_axis(cell_of, order, cell.reshape(d, m), axis=1)
-                cell = cell_of.take(rows, axis=1)
-                cell += lab
-            counts = np.bincount(cell.ravel(), weights=None if wt is None else np.tile(wt, d),
-                                 minlength=d * n_bins * k).reshape(d, n_bins, k)
+                cell = offsets.repeat(np.diff(bounds[j]))
+                if rows is None:  # unit weights: integer counts, exact in any order
+                    cell += slab[j]
+                else:  # each row's cell back in row order, to sum weights in it
+                    cell_of[order[j]] = cell
+                    cell = cell_of.take(rows)
+                    cell += lab
+                counts[j] = np.bincount(cell, wt, n_bins * k).reshape(n_bins, k)
             del cell
+            edges = bounds[:, 1:-1]
             # Counts left of each threshold, and right of each in reverse.
             sides = np.empty((2, d, n_bins - 1, k))
             np.cumsum(counts[:, :-1], axis=1, out=sides[0])
@@ -246,14 +276,15 @@ class KnnFrequency:
         self.k = k
         self.alpha = alpha
 
-    def fit(self, X, labels, w):
+    def fit(self, X, labels, w, rows=None):
         from scipy.spatial import cKDTree  # scipy takes ~0.45 s to import; only knn uses it
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X, labels, w = _training(rows, np.atleast_2d(np.asarray(X, dtype=float)), labels, w)
         if not X.shape[1]:  # cKDTree accepts no columns, then its queries fail
             raise ValueError("knn needs at least one covariate column")
         self.labels_ = _labels(labels, self.n_classes)
         self.tree_ = cKDTree(X)
         self.w_ = np.asarray(w, dtype=float)
+        self.unit_ = bool(np.all(self.w_ == 1))
         self.k_ = min(self.k, X.shape[0])
         self.keep_ = False
         self.last_query_ = (None, None)  # (rows, neighbour indices), set together
@@ -265,10 +296,10 @@ class KnnFrequency:
         self.keep_ = True
         return self
 
-    def relabel(self, X, labels, w):
+    def relabel(self, X, labels, w, rows=None):
         """A copy fitted with ``labels`` on the training rows and weights of
-        this fit, which ``X`` and ``w`` must equal."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        this fit, which the ``rows`` of ``X`` and ``w`` must equal."""
+        X, labels, w = _training(rows, np.atleast_2d(np.asarray(X, dtype=float)), labels, w)
         labels = _labels(labels, self.n_classes)
         if not (labels.shape == self.labels_.shape and np.array_equal(X, self.tree_.data)
                 and np.array_equal(np.asarray(w, dtype=float), self.w_)):
@@ -285,12 +316,13 @@ class KnnFrequency:
             nbr = nbr.reshape(X.shape[0], self.k_)  # k_ = 1 gives a flat result
             if self.keep_:
                 self.last_query_ = (X.copy(), nbr)
-        # One bincount of (row, class) cells sums each row's weights in neighbour order.
+        # One bincount of (row, class) cells sums each row's weights in neighbour order;
+        # unit weights are counted, which gives the same sums of ones exactly.
         cell = self.labels_.take(nbr).astype(np.intp, copy=False)
         cell += np.arange(0, len(nbr) * self.n_classes, self.n_classes)[:, None]
-        counts = np.bincount(cell.ravel(), weights=self.w_.take(nbr).ravel(),
-                             minlength=len(nbr) * self.n_classes).reshape(-1, self.n_classes)
-        counts += self.alpha
+        weights = None if self.unit_ else self.w_.take(nbr).ravel()
+        counts = np.bincount(cell.ravel(), weights=weights, minlength=len(nbr) * self.n_classes)
+        counts = counts.reshape(-1, self.n_classes) + self.alpha
         return counts / counts.sum(axis=1, keepdims=True)
 
 
@@ -350,7 +382,8 @@ class SoftmaxRegression:
         hess[np.diag_indices(d * k)] += self.ridge
         return np.linalg.lstsq(hess, grad.ravel(), rcond=None)[0].reshape(d, k)
 
-    def fit(self, X, labels, w):
+    def fit(self, X, labels, w, rows=None):
+        X, labels, w = _training(rows, np.atleast_2d(np.asarray(X, dtype=float)), labels, w)
         phi = self._design(X)
         labels = _labels(labels, self.n_classes)
         w = np.asarray(w, dtype=float)

@@ -97,6 +97,7 @@ def _smooth_phi(kernel: BoundKernel, t) -> tuple[np.ndarray, np.ndarray]:
     part, grad = _lse_gap(kernel.cand_l - kernel.gamma_l, t)
     grad *= c_l
     phi_l = (kernel.gamma_l + part) + _column_sum(grad)
+    del part, grad  # freed before the upper side's
     part, grad = _lse_gap(kernel.gamma_u - kernel.cand_u, t)
     grad *= c_u
     return phi_l, -(-kernel.gamma_u + part) + _column_sum(grad)

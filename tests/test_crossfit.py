@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,6 +175,33 @@ class TestFitJoint:
                          parse_learner_spec("histogram"), seed=0)  # reads no outcome
         with pytest.raises(FitError, match="outcome in"):
             nuis.evaluate(d)
+
+
+class TestFitWorkingSet:
+    """The fits read their training rows of x, z, a and w in place.  Copies
+    of them took the peak to 133 traced bytes per training row for the
+    propensity fit and 71 per fold-complement row for one arm's joint fit."""
+
+    @pytest.mark.parametrize("stage,bound", [("propensity", 115), ("joint", 62)])
+    def test_traced_bytes_per_complement_row(self, stage, bound):
+        rng = np.random.default_rng(0)
+        n = 100_000
+        x = np.column_stack([rng.integers(0, 2, n), rng.random(n), rng.standard_normal(n)])
+        z = rng.random(n) < 0.3 + 0.4 * x[:, 1]
+        a = rng.random(n) < 0.2 + 0.5 * z
+        d = Dataset(x, z, a, rng.random(n) < 0.3 + 0.2 * a + 0.1 * x[:, 0])
+        train = np.arange(n) % 5 != 0  # 80k rows, about 40k of them in the arm z = 1
+        spec = parse_learner_spec("histogram")
+        tracemalloc.start()
+        try:
+            if stage == "propensity":
+                fit_propensity(d, spec, rows=train)
+            else:
+                fit_joint(d, 1, spec, rows=train)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / train.sum() <= bound
 
 
 class TestCrossFit:

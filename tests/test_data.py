@@ -27,6 +27,13 @@ class TestDataset:
         np.testing.assert_allclose(d.w, np.ones(4))
         assert d.colnames == ["x0", "x1"]
 
+    def test_instrument_and_exposure_are_int8(self):
+        d = Dataset(x=np.zeros((3, 1)), z=np.array([0.0, 1.0, 1.0]), a=[True, False, True],
+                    y=[0, 1, 0])
+        assert d.z.dtype == d.a.dtype == np.int8
+        assert d.z.tolist() == [0, 1, 1] and d.a.tolist() == [1, 0, 1]
+        assert d.subset(np.array([2, 0])).z.dtype == np.int8
+
     def test_normalized_weights_sum_to_one(self):
         d = Dataset(x=np.zeros((3, 1)), z=[0, 1, 0], a=[0, 1, 0], y=[0, 0, 1],
                     w=[1.0, 2.0, 3.0])
@@ -108,6 +115,14 @@ class TestLoadCsv:
         d = load_csv(p, MAPPING)
         assert d.n == 4
         np.testing.assert_allclose(d.x[:, 0], [30, 40, 50, 60])
+
+    def test_columns_own_their_data(self, tmp_path):
+        # A view of the parsed table would keep all of it alive, as y once did.
+        p = write_csv(tmp_path, "age,z,a,y,w\n30,0,0,0,1\n40,1,1,1,2\n50,0,1,0,3\n")
+        d = load_csv(p, ColumnMapping(["age"], "z", "a", "y", "w"))
+        for name in ("x", "z", "a", "y", "w"):
+            assert getattr(d, name).base is None, name
+        assert d.z.dtype == d.a.dtype == np.int8
 
     def test_unknown_outcome_kind_rejected_before_reading(self, tmp_path):
         # The kind was checked by Dataset, after the whole file was parsed.

@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -347,7 +348,7 @@ class TestPresortedSplitSearch:
                 trees.append(tree_bytes(model.tree_))
             assert trees[0] == trees[1] == trees[2]
             assert trees[0].count(b"threshold") >= 7
-        assert calls == [(2, n)] * 16
+        assert calls == [(n,)] * 32  # every sort went through the fakes: one per column and fit
 
 
 class TestNodeCounts:
@@ -395,6 +396,69 @@ class TestFitWorkingSet:
             tracemalloc.stop()
         assert "feature" in model.tree_["left"]["left"]  # a tree of full depth
         assert peak / n <= 128
+
+
+class TestTrainingRows:
+    """``fit(X, labels, w, rows=r)`` fits the rows ``r`` of the full arrays in
+    place, and gives the bits ``fit(X[r], labels[r], w[r])`` gives."""
+
+    @staticmethod
+    def subset(rng, n):
+        return rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)  # any order
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400), d=st.integers(1, 3),
+           k=st.sampled_from([2, 4]), depth=st.integers(0, 5),
+           levels=st.sampled_from([0, 2, 5]), min_cell=st.sampled_from([1, 5, 25]),
+           weights=st.sampled_from(["unit", "integer", "real"]))
+    def test_property_histogram(self, seed, n, d, k, depth, levels, min_cell, weights):
+        rng = np.random.default_rng(seed)
+        X = rng.random((n, d))
+        if levels:
+            X = np.round(X * levels)  # repeated quantiles and ties
+        labels, w, r = rng.integers(0, k, n), make_weights(rng, weights, n), self.subset(rng, n)
+        model = HistogramPartition(k, max_depth=depth, min_cell=min_cell)
+        in_place = tree_bytes(model.fit(X, labels, w, rows=r).tree_)
+        assert in_place == tree_bytes(model.fit(X[r], labels[r], w[r]).tree_)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80), k=st.integers(1, 60),
+           n_classes=st.sampled_from([2, 4]), weights=st.sampled_from(["unit", "real"]))
+    def test_property_knn_fit_and_relabel(self, seed, n, k, n_classes, weights):
+        rng = np.random.default_rng(seed)
+        x, query = np.round(rng.random((n, 2)) * 4), rng.random((9, 2)) * 4
+        w = np.ones(n) if weights == "unit" else rng.exponential(size=n) + 0.05
+        first, second = (rng.integers(0, n_classes, n) for _ in range(2))
+        r = self.subset(rng, n)
+        model = KnnFrequency(n_classes, k=k).fit(x, first, w, rows=r).keep_neighbours()
+        got = model.predict_proba(query)
+        want = KnnFrequency(n_classes, k=k).fit(x[r], first[r], w[r]).predict_proba(query)
+        assert got.tobytes() == want.tobytes()
+        relabelled = model.relabel(x, second, w, rows=r)
+        want = KnnFrequency(n_classes, k=k).fit(x[r], second[r], w[r]).predict_proba(query)
+        assert relabelled.predict_proba(query).tobytes() == want.tobytes()
+        # Unit weights are counted; the weighted count of the same ones has the same bits.
+        assert model.unit_ == (weights == "unit")
+        summed = copy.copy(model)
+        summed.unit_ = False
+        assert summed.predict_proba(query).tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("weights", ["unit", "real"])
+    def test_softmax(self, weights):
+        rng = np.random.default_rng(11)
+        X, labels = rng.random((300, 2)), rng.integers(0, 3, 300)
+        w, r = make_weights(rng, weights, 300), self.subset(rng, 300)
+        got = SoftmaxRegression(3).fit(X, labels, w, rows=r).beta_
+        assert got.tobytes() == SoftmaxRegression(3).fit(X[r], labels[r], w[r]).beta_.tobytes()
+
+    def test_rows_outside_the_training_rows_are_not_read(self):
+        rng = np.random.default_rng(12)
+        X, labels, w = rng.random((200, 2)), rng.integers(0, 2, 200), np.ones(200)
+        r = np.arange(0, 200, 2)
+        X[1, 0], labels[3], w[5] = np.nan, 7, -np.inf  # outside r: no check sees them
+        for clf in (HistogramPartition(2), KnnFrequency(2, k=5), SoftmaxRegression(2)):
+            p = clf.fit(X, labels, w, rows=r).predict_proba(X[r])
+            simplex_rows(p)
 
 
 class TestKnnFrequency:

@@ -12,10 +12,10 @@ each fold's joint cells for the outcome of the data it evaluates.  So the
 pseudo-outcomes of continuous mode, which differ in y alone, share one
 cross-fit.
 
-The fits are independent, each reading its fold's complement in place: the
-learner gets the full arrays and the complement's row index.  From ``POOL_MIN_ROWS`` rows they run on one thread per usable CPU and
-predictions follow in the caller, so no number depends on the thread count;
-the bound kernel's row blocks take the same rule (``estimators._by_blocks``).
+The fits are independent; each learner gets the full arrays and its fold
+complement's row index.  From ``POOL_MIN_ROWS`` rows they run on one thread
+per usable CPU, as do the kernel blocks of ``estimators._by_blocks``, and
+predictions follow in the caller, so no number depends on the thread count.
 
 Randomness uses the Philox counter-based generator.  Streams are split by
 seeding ``SeedSequence`` with an explicit path of integers (master seed,
@@ -81,25 +81,19 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _in_task_order(fn, tasks: list[tuple], executor, first=None) -> list:
-    """``fn(*task)`` per task, results in task order, on ``executor(workers)`` with one
-    worker per usable CPU and task, submitted in the order of the key ``first``; with one
-    worker, here in turn.  The first failing task in task order raises, as serially."""
+def _in_task_order(fn, tasks: list[tuple], executor) -> list:
+    """``fn(*task)`` per task, results in task order, by ``executor(workers)``'s map with
+    one worker per usable CPU and task; with one worker, here in turn.  The first failing
+    task in task order raises, as serially, and the map cancels the tasks still queued."""
     workers = min(_usable_cpus(), len(tasks))
     if workers < 2:
         return [fn(*task) for task in tasks]
     with executor(workers) as pool:
-        futures = {i: pool.submit(fn, *tasks[i]) for i in sorted(
-            range(len(tasks)), key=None if first is None else lambda i: first(tasks[i]))}
-        try:
-            return [futures[i].result() for i in range(len(tasks))]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)  # do not run what is still queued
-            raise
+        return list(pool.map(fn, *zip(*tasks)))
 
 
 def _fits(fn, tasks: list[tuple], n: int) -> list:
-    """``fn(*task)`` for each task, in task order: on threads from ``POOL_MIN_ROWS`` rows."""
+    """In turn below ``POOL_MIN_ROWS`` rows, else on threads by ``_in_task_order``."""
     if n < POOL_MIN_ROWS:
         return [fn(*task) for task in tasks]
     from concurrent.futures import ThreadPoolExecutor  # not imported by a small request
@@ -216,12 +210,12 @@ class FoldedNuisances:
     joint: list[tuple]                       # per fold: (z=0, z=1) cells, None unfitted
     descriptor: dict
     fitted_on: Dataset = field(repr=False)
-    keep: bool = False                       # knn arms keep their neighbours
+    keep: bool = False                       # arms whose learner can keep neighbours do
 
     def keep_neighbours(self) -> "FoldedNuisances":
-        """Make each knn joint arm keep the neighbours of the fold it answers,
-        so a later ``evaluate`` recounts over them with no search; they cost
-        n * k * 8 bytes per arm, so only a caller that evaluates more than
+        """Make each joint arm that can (knn) keep the neighbours of the fold it
+        answers, so a later ``evaluate`` recounts over them with no search; they
+        cost n * k * 8 bytes per arm, so only a caller that evaluates more than
         one outcome asks for them."""
         self.keep = True
         return self
@@ -245,7 +239,7 @@ class FoldedNuisances:
             idx = np.flatnonzero(self.folds == k)
             x = data.x[idx]
             for z, cells in enumerate(arms):
-                if self.keep and self.pi_learner.name == "knn":
+                if self.keep and hasattr(cells.classifier, "keep_neighbours"):
                     cells.classifier.keep_neighbours()
                 pi[idx, :, :, z] = cells(x)
         return self.lam1, pi

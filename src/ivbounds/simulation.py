@@ -210,17 +210,16 @@ def _bounds_by_rate(data, noise, logits, rates, h: float) -> list[dict]:
 
 
 def _run_replicates(fn, tasks: list[tuple[int, int]]) -> list:
-    """``fn(n, rep)`` for each task, largest n first, by ``crossfit._in_task_order`` on
-    worker processes.  They are forked where the platform has fork, so they inherit the
-    imported modules and the allocator policy; elsewhere they start by its default method.
-    Only ``fn``'s settings, the tasks and the results are pickled."""
+    """``fn(n, rep)`` per task, in task order, by ``crossfit._in_task_order`` on processes
+    forked where the platform has fork (inheriting the imported modules and the allocator
+    policy), else started by its default method; the map cancels what is queued at the first
+    failure in task order.  Only ``fn``'s settings, the tasks and the results are pickled."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     methods = multiprocessing.get_all_start_methods()  # the first is the default
     context = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
-    return _in_task_order(fn, tasks, partial(ProcessPoolExecutor, mp_context=context),
-                          first=lambda task: -task[0])
+    return _in_task_order(fn, tasks, partial(ProcessPoolExecutor, mp_context=context))
 
 
 def _rmse_replicate(n: int, rep: int, *, r_grid, seed: int, h: float) -> list[dict]:

@@ -1,3 +1,5 @@
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ivbounds.crossfit as crossfit
 import ivbounds.estimators as estimators
 from ivbounds.bounds import (
     _LOWER,
@@ -381,3 +384,23 @@ class TestRowBlocks:
             finally:
                 tracemalloc.stop()
         assert (peaks[1] - peaks[0]) / (12 * ROW_BLOCK) <= 96
+
+    def test_first_failing_block_reaches_caller(self, monkeypatch):
+        # Blocks 1 and 3 fail, and block 3 fails first on two threads; block 1's
+        # error reaches the caller, as it does serially, and no thread outlives it.
+        monkeypatch.setattr(crossfit, "POOL_MIN_ROWS", 0)
+        monkeypatch.setattr(crossfit, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(estimators, "ROW_BLOCK", 128)  # five blocks
+        d, lam1, pi = TestInvariance.random_inputs(3, 640, True)
+
+        def phi(kernel, rows):
+            block = rows.start // 128
+            if block == 1:
+                time.sleep(0.2)
+            if block in (1, 3):
+                raise ValueError(f"block {block} failed")
+            return kernel.direct_phi()
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="^block 1 failed$"):
+            estimators._by_blocks(d, lam1, pi, phi)
+        assert threading.active_count() == threads

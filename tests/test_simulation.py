@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import multiprocessing
+import time
 import tracemalloc
 
 import numpy as np
@@ -280,6 +281,25 @@ class TestReplicatePool:
         rmse_experiment([50, 100], [0.3], 3, 0)
         coverage_experiment(50, 3, 0.3, 0)
         assert multiprocessing.active_children() == []
+
+    def test_first_failing_replicate_reaches_caller(self, monkeypatch):
+        # Reps 1 and 3 fail, and rep 3 fails first on two workers; rep 1's
+        # error reaches the caller, as it does serially, and no worker outlives it.
+        monkeypatch.setattr(crossfit, "_usable_cpus", lambda: 2)
+        with pytest.raises(ValueError, match="^rep 1 failed$"):
+            simulation._run_replicates(failing_replicate, [(50, rep) for rep in range(6)])
+        assert multiprocessing.active_children() == []
+        assert simulation._run_replicates(failing_replicate, [(50, 0), (50, 2)]) == [0, 2]
+        assert multiprocessing.active_children() == []
+
+
+def failing_replicate(n, rep):
+    """A replicate that fails at rep 1 after 0.2 s and at rep 3 at once."""
+    if rep == 1:
+        time.sleep(0.2)
+    if rep in (1, 3):
+        raise ValueError(f"rep {rep} failed")
+    return rep
 
 
 def reference_replicate(truth, n, r, h, seed, rep):

@@ -298,6 +298,9 @@ def main(argv=None) -> int:
             raise ValueError(f"--seed {args.seed} outside [0, 2**32)")
         if "delta" in vars(args) and not 0 < args.delta < 1:  # z_quantile needs (0, 1)
             raise ValueError(f"--delta {args.delta} outside (0, 1)")
+        paths = [p for p in (getattr(args, k, None) for k in ("input", "output", "csv")) if p]
+        if len({os.path.realpath(p) for p in paths}) < len(paths):
+            raise ValueError(f"{', '.join(paths)}: two of these paths name one file")
         for path in filter(None, (getattr(args, "output", None), getattr(args, "csv", None))):
             _check_output(path)
         return commands[args.command](args)

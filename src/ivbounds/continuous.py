@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crossfit import FoldedNuisances, rng_stream
+from .crossfit import rng_stream
 from .data import Dataset
 from .estimators import BoundEstimate, _finish, direct_bounds
 from .lse import check_temperature, lse_bounds
@@ -98,10 +98,10 @@ def continuous_bounds(data: Dataset, nuisances, m: int, seed: int,
     dataset ``aug``, which differs from ``data`` in its outcome alone.  A
     ``FoldedNuisances`` from one ``cross_fit`` of ``data`` keeps its folds and
     propensity, which do not read the outcome, and fits the joint cells of
-    each pseudo-outcome; for m > 1 it keeps its knn neighbours, so later
-    replicates recount them with no search.  ``method`` is "direct" or "lse",
-    which smooths at ``t`` as ``lse_bounds`` and keeps its ``t`` and ``t_rule``
-    in ``extra``; a ``t`` with "direct" is rejected.
+    each pseudo-outcome.  For m > 1 a source with ``keep_neighbours`` keeps
+    its knn neighbours, so later replicates recount them with no search.
+    ``method`` is "direct" or "lse", which smooths at ``t`` as ``lse_bounds`` and
+    keeps its ``t`` and ``t_rule`` in ``extra``; a ``t`` with "direct" is rejected.
     Point estimates and per-row influence values are averaged across
     replicates before the variance is formed, so the reported variance
     reflects the dichotomization-noise reduction from larger m.
@@ -116,7 +116,7 @@ def continuous_bounds(data: Dataset, nuisances, m: int, seed: int,
         check_temperature(t)
     if transform is None:
         transform = OutcomeTransform.from_data(data.y)
-    if m > 1 and isinstance(nuisances, FoldedNuisances):
+    if m > 1 and hasattr(nuisances, "keep_neighbours"):
         nuisances.keep_neighbours()
     acc_l = np.zeros(data.n)
     acc_u = np.zeros(data.n)

@@ -14,8 +14,8 @@ cross-fit.
 
 The fits are independent; each learner gets the full arrays and its fold
 complement's row index.  From ``POOL_MIN_ROWS`` rows they run on one thread
-per usable CPU, as do the kernel blocks of ``estimators._by_blocks``, and
-predictions follow in the caller, so no number depends on the thread count.
+per usable CPU, as do the kernel blocks of ``estimators._by_blocks``, and each
+task writes only its fold's rows, so no number depends on the thread count.
 
 Randomness uses the Philox counter-based generator.  Streams are split by
 seeding ``SeedSequence`` with an explicit path of integers (master seed,
@@ -222,26 +222,25 @@ class FoldedNuisances:
 
     def evaluate(self, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
         """Out-of-fold nuisances on the fitted rows; ``data`` may differ from
-        them in its outcome alone.  The propensity is ``lam1``, read-only.  Its
-        2K (fold, arm) fits are the pool's tasks, shared more evenly than K."""
+        them in its outcome alone.  The propensity is ``lam1``, read-only.  Each
+        of its 2K (fold, arm) tasks, shared more evenly than K, writes its fold's pi."""
         ref = self.fitted_on
         if data.n != ref.n or not all(
                 np.array_equal(a, b) for a, b in
                 ((data.x, ref.x), (data.z, ref.z), (data.w, ref.w))):
             raise ValueError("dataset differs from the rows the folds were fitted on")
-        # Every fit before pi is allocated: a lower peak.
-        cells = _fits(lambda k, z: fit_joint(data, z, self.pi_learner, self.joint[k][z],
-                                             self.folds != k),
-                      [(k, z) for k in range(len(self.joint)) for z in (0, 1)], data.n)
-        self.joint = list(zip(cells[::2], cells[1::2]))
         pi = np.empty((data.n, 2, 2, 2))
-        for k, arms in enumerate(self.joint):
+
+        def fit(k, z):
+            cells = fit_joint(data, z, self.pi_learner, self.joint[k][z], self.folds != k)
+            if self.keep and hasattr(cells.classifier, "keep_neighbours"):
+                cells.classifier.keep_neighbours()
             idx = np.flatnonzero(self.folds == k)
-            x = data.x[idx]
-            for z, cells in enumerate(arms):
-                if self.keep and hasattr(cells.classifier, "keep_neighbours"):
-                    cells.classifier.keep_neighbours()
-                pi[idx, :, :, z] = cells(x)
+            pi[idx, :, :, z] = cells(data.x[idx])
+            return cells
+
+        cells = _fits(fit, [(k, z) for k in range(len(self.joint)) for z in (0, 1)], data.n)
+        self.joint = list(zip(cells[::2], cells[1::2]))
         return self.lam1, pi
 
 
@@ -265,23 +264,22 @@ def fold_assignment(u: np.ndarray, n_folds: int) -> np.ndarray:
 def cross_fit(data: Dataset, n_folds: int, pi_learner: LearnerSpec,
               lambda_learner: LearnerSpec, seed: int,
               eps: float = DEFAULT_EPS) -> FoldedNuisances:
-    """Draw the folds, fit the propensity on each fold's complement and
-    predict the fold's rows from it.  Reads no outcome: the joint cells are
-    fitted by ``FoldedNuisances.evaluate``."""
+    """Draw the folds; fold k's task fits the propensity on the fold's complement,
+    predicts the fold's rows and writes them, so its model is freed with the task.
+    Reads no outcome: the joint cells are fitted by ``FoldedNuisances.evaluate``."""
     check_cross_fit_settings(n_folds, pi_learner, lambda_learner, eps, data.n)
     folds = fold_assignment(rng_stream(seed, 0).random(data.n), n_folds)
     size = np.bincount(folds, minlength=n_folds)
     ones = np.bincount(folds, weights=data.z, minlength=n_folds)  # rows with z = 1
+    lam1 = np.empty(data.n)
 
     def fit(k):
         if ones.sum() - ones[k] in (0, data.n - size[k]):
             raise FitError(f"fold {k}: training complement lacks an instrument arm")
-        return fit_propensity(data, lambda_learner, eps, folds != k)
-
-    lam1 = np.empty(data.n)
-    for k, predict in enumerate(_fits(fit, [(k,) for k in range(n_folds)], data.n)):
         idx = np.flatnonzero(folds == k)
-        lam1[idx] = predict(data.x[idx])
+        lam1[idx] = fit_propensity(data, lambda_learner, eps, folds != k)(data.x[idx])
+
+    _fits(fit, [(k,) for k in range(n_folds)], data.n)
     lam1.flags.writeable = False
     return FoldedNuisances(folds, lam1, pi_learner, [(None, None)] * n_folds,
                            {"pi": pi_learner.name, "lambda": lambda_learner.name,

@@ -686,6 +686,35 @@ class TestOutputPaths:
         assert json.loads(capsys.readouterr().err)["error"] == "non-binary"
         assert out.read_text() == "earlier report\n"
 
+    def forbid_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done before the paths were compared")
+        for name in ("load_csv", "cross_fit", "rmse_experiment"):
+            monkeypatch.setattr(cli, name, no_work)
+
+    def test_output_naming_the_input_rejected(self, tmp_path, capsys, monkeypatch):
+        # The report used to replace the data file it was estimated from.
+        data = write_illustration_csv(tmp_path / "d.csv")
+        before = data.read_bytes()
+        self.forbid_work(monkeypatch)
+        out = f"{tmp_path}/../{tmp_path.name}/d.csv"  # the same file, spelled otherwise
+        assert self.run("bounds", data, out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "invalid-config"
+        assert data.read_bytes() == before
+
+    def test_output_and_csv_naming_one_file_rejected(self, tmp_path, capsys, monkeypatch):
+        # simulate used to write its CSV and then overwrite it with the JSON.
+        self.forbid_work(monkeypatch)
+        (tmp_path / "link").symlink_to(tmp_path)
+        rc = main(["simulate", "--reps", "1", "--n-grid", "20", "--r-grid", "0.3",
+                   "--output", str(tmp_path / "r.out"),
+                   "--csv", str(tmp_path / "link" / "r.out")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "invalid-config"
+        assert not (tmp_path / "r.out").exists()
+
 
 def test_every_subcommand_and_option_has_help(capsys):
     # argparse expands %(default)s only when it renders the help.

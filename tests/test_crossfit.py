@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -318,6 +319,22 @@ class TestCrossFit:
         flipped = d.replace_outcome(1.0 - d.y, "binary")
         assert nuis.evaluate(flipped)[0] is nuis.lam1
         assert calls[2] == 3
+
+    def test_propensity_models_freed_fold_by_fold(self, monkeypatch):
+        # Each fold's task writes its rows of lam1 and drops its model, so no
+        # earlier fold's predictor is alive when the next one is fitted.
+        made, alive = [], []
+
+        def tracked(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in made))
+            predict = fit_propensity(*args, **kwargs)
+            made.append(weakref.ref(predict))
+            return predict
+        monkeypatch.setattr(crossfit, "fit_propensity", tracked)
+        d = toy_data(400)  # below POOL_MIN_ROWS: the folds run in turn
+        spec = parse_learner_spec("knn:20")
+        cross_fit(d, 4, spec, spec, seed=5)
+        assert alive == [0, 0, 0, 0]
 
     @pytest.mark.parametrize("column", ["x", "z", "w"])
     def test_evaluate_rejects_other_rows(self, column):

@@ -14,8 +14,8 @@ cross-fit.
 
 The fits are independent; each learner gets the full arrays and its fold
 complement's row index.  From ``POOL_MIN_ROWS`` rows they run on one thread
-per usable CPU, as do the kernel blocks of ``estimators._by_blocks``, and each
-task writes only its fold's rows, so no number depends on the thread count.
+per usable CPU, and each task writes only its fold's rows, so no number
+depends on the thread count.
 
 Randomness uses the Philox counter-based generator.  Streams are split by
 seeding ``SeedSequence`` with an explicit path of integers (master seed,

@@ -107,6 +107,11 @@ class ColumnMapping:
     outcome: str
     weight: str | None = None
 
+    def __post_init__(self):
+        names = [*self.covariates, self.instrument, self.exposure, self.outcome, self.weight]
+        if repeated := sorted({c for c in names if c and names.count(c) > 1}):
+            raise ValueError(f"columns mapped to more than one role: {repeated}")
+
 
 def _cell_error(text: str, kind: str) -> tuple[str, str] | None:
     """(code, complaint) for a cell that fails ``kind``'s check, else None.

@@ -14,11 +14,10 @@ share, once, on the cell-major layout of ``bounds``: pi is checked and laid
 out as eight cell columns when the kernel starts, the candidates at pi with
 their extremes and selectors follow, and the direct and smooth estimators
 share the linear candidates at c, built on first use.  One block loop,
-``_by_blocks``, runs every kernel: one per ``ROW_BLOCK`` rows, whose per-row
-values it writes into full-length arrays, on the cross-fit's threads from
-its row rule.  Each kernel step is row-wise, so neither the block size nor
-the thread count moves a bit.  Every estimate is finished once, by
-``_finish`` over the joined values;
+``_by_blocks``, runs every kernel: one per ``ROW_BLOCK`` rows, in turn in
+the caller, whose per-row values it writes into full-length arrays.  Each
+kernel step is row-wise, so the block size moves no bit.  Every estimate is
+finished once, by ``_finish`` over the joined values;
 ``simulation`` stacks its noise rates on the rows of a tiled dataset and
 takes each rate's means from one loop.
 """
@@ -26,7 +25,6 @@ takes each rate's means from one loop.
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -36,7 +34,6 @@ from .bounds import _LOWER, _UPPER, _candidates, _cells, _profile, _rows, _selec
 # The theta_* functions are imported only for perfbench/spans.py, which traces
 # them under this module's name as well as lse's.
 from .bounds import theta_lower, theta_lower_linear, theta_upper, theta_upper_linear
-from .crossfit import _fits
 from .data import Dataset
 
 __all__ = [
@@ -170,23 +167,18 @@ ROW_BLOCK = 8192  # rows per kernel: its eight candidate columns (512 KiB) stay 
 
 def _by_blocks(data: Dataset, lam1, pi, phi) -> list[np.ndarray]:
     """The per-row arrays of ``phi(kernel, rows)``, one kernel per block ``rows`` of
-    at most ``ROW_BLOCK`` rows writing into the arrays the first to finish allocates.
-    The blocks run as the cross-fit's fits do: on threads from its row rule."""
+    at most ``ROW_BLOCK`` rows, in turn, writing into the arrays the first allocates."""
     lam1, pi = np.asarray(lam1, dtype=float), np.asarray(pi, dtype=float)
     if not data.n or lam1.shape != (data.n,) or pi.shape != (data.n, 2, 2, 2):
         raise ValueError(f"lam1 {lam1.shape} and pi {pi.shape} need the data's {data.n} "
                          "rows, and the data at least one")
-    out, lock = [], threading.Lock()
-
-    def block(rows):
+    out = []
+    for rows in (slice(lo, lo + ROW_BLOCK) for lo in range(0, data.n, ROW_BLOCK)):
         parts = phi(BoundKernel(data.subset(rows), lam1[rows], pi[rows]), rows)
-        with lock:
-            if not out:
-                out.extend(np.empty(data.n, dtype=part.dtype) for part in parts)
+        if not out:
+            out.extend(np.empty(data.n, dtype=part.dtype) for part in parts)
         for full, part in zip(out, parts):
             full[rows] = part
-
-    _fits(block, [(slice(lo, lo + ROW_BLOCK),) for lo in range(0, data.n, ROW_BLOCK)], data.n)
     return out
 
 

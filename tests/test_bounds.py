@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ivbounds.bounds as bounds
 from ivbounds.bounds import (
     _TYPE_INCIDENCE,
     RESPONSE_TYPES,
@@ -17,6 +20,8 @@ from ivbounds.bounds import (
     theta_upper,
     theta_upper_linear,
 )
+from ivbounds.cli import main
+from ivbounds.crossfit import rng_stream
 
 
 def uniform_pi():
@@ -167,6 +172,10 @@ class TestResponseTypes:
         q[0b0010] = 1.0  # Y(0)=1, Y(1)=0
         assert response_type_ate(q) == pytest.approx(-1.0)
 
+    def test_bad_shape_rejected(self):
+        with pytest.raises(ValueError, match="^q must be a 16-vector$"):
+            response_type_pi(np.full(15, 1 / 15))
+
 
 class TestLpOracle:
     def test_uniform(self):
@@ -210,6 +219,12 @@ class TestLpOracle:
         with pytest.raises(ValueError):
             lp_sharp_bounds(np.zeros((2, 2)))
 
+    def test_non_finite_law_rejected(self):
+        pi = uniform_pi()
+        pi[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="^pi contains non-finite entries$"):
+            lp_sharp_bounds(pi)
+
 
 class TestCheckSharpness:
     @pytest.mark.parametrize("alpha", [1.0, 0.1, 0.03])
@@ -239,3 +254,29 @@ class TestCheckSharpness:
         assert not result["ok"]
         assert result["failures"] == ["law 1: oracle reported infeasible"]
         assert not check_sharpness(good[None], tol=-1.0)["ok"]
+
+
+class TestCheckCatchesBrokenKernels:
+    """``check`` on the 50 laws it draws by default, with the closed form broken."""
+
+    LAWS = rng_stream(0, 99).dirichlet(np.ones(16), size=50)
+
+    def test_shifted_candidate_constant(self, monkeypatch, capsys):
+        (terms, const), *rest = bounds._LOWER[1:]
+        monkeypatch.setattr(bounds, "_LOWER", [bounds._LOWER[0], (terms, const + 0.5), *rest])
+        result = check_sharpness(self.LAWS)
+        assert not result["ok"]
+        assert result["max_lp_gap"] == pytest.approx(0.5, abs=1e-12)
+        assert len(result["failures"]) == 26
+        assert all(" outside [" in f for f in result["failures"])
+        assert main(["check", "--laws", "50"]) == 1
+        assert not json.loads(capsys.readouterr().out)["ok"]
+
+    def test_swapped_extremes(self, monkeypatch):
+        first_extreme = bounds._first_extreme
+        monkeypatch.setattr(bounds, "_first_extreme", lambda cands, extreme: first_extreme(
+            cands, np.minimum if extreme is np.maximum else np.maximum))
+        result = check_sharpness(self.LAWS)
+        assert not result["ok"]
+        assert result["failures"] == [f"law {i}: sharp bounds escape the natural bounds"
+                                      for i in range(50)]

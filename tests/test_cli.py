@@ -320,6 +320,36 @@ class TestBoundsCommand:
         assert json.loads(captured.err) == {
             "error": "invalid-config", "message": "knn needs at least one covariate column"}
 
+    @pytest.mark.parametrize("flags,repeated", [
+        (["--covariates", "x1,y"], ["y"]),  # gave (-0.0316, 0.0416) with exit 0
+        (["--covariates", "x1,z"], ["z"]),
+        (["--exposure", "z"], ["z"]),  # gave crossed bounds with exit 0
+        (["--weights-col", "y"], ["y"]),
+        (["--covariates", "x1,x1"], ["x1"]),
+    ])
+    def test_column_in_two_roles_rejected_before_reading_input(self, tmp_path, capsys,
+                                                              flags, repeated):
+        rc = main(["bounds", str(tmp_path / "absent.csv"), *BOUNDS_ARGS, *flags])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "invalid-config",
+            "message": f"columns mapped to more than one role: {repeated}"}
+
+    @pytest.mark.parametrize("method", ["direct", "lse"])
+    def test_crossed_bounds_warn(self, tmp_path, capsys, method):
+        # Z moves Y directly (Y = Z, A independent of Z), which no IV law allows.
+        rng = np.random.default_rng(0)
+        z, a, x = rng.random(400) < 0.5, rng.random(400) < 0.2, rng.random(400)
+        csv = tmp_path / "crossed.csv"
+        csv.write_text("x,z,a,y\n" + "".join(
+            f"{float(x[i])!r},{int(z[i])},{int(a[i])},{int(z[i])}\n" for i in range(400)))
+        rc, report = run_json(capsys, [
+            "bounds", str(csv), "--covariates", "x", "--instrument", "z", "--exposure", "a",
+            "--outcome", "y", "--folds", "3", "--method", method])
+        assert rc == 0
+        assert report["warnings"] == ["estimated lower bound exceeds estimated upper bound"]
+        assert report["lower"] > report["upper"]
+
     def test_output_file(self, tmp_path, capsys):
         csv = write_illustration_csv(tmp_path / "d.csv", n=300)
         out = tmp_path / "report.json"
@@ -509,7 +539,7 @@ class TestFitPool:
         assert made == []
         pool(2, 0)
         assert self.reports(capsys, argvs) == whole
-        assert made == [2] * 3 * 3  # cross_fit, evaluate and the kernel blocks, per request
+        assert made == [2] * 3 * 2  # cross_fit and evaluate, per request: the kernel makes none
 
     @pytest.mark.parametrize("name", ["fit_propensity", "fit_joint"])
     def test_first_failing_fold_reaches_caller(self, tmp_path, capsys, monkeypatch, pool,

@@ -152,6 +152,11 @@ class TestFitPropensity:
         with pytest.raises(FitError, match="instrument takes a single value"):
             fit_propensity(flat, parse_learner_spec(spec))
 
+    def test_no_training_rows(self):
+        d = toy_data()
+        with pytest.raises(FitError, match="^empty data$"):
+            fit_propensity(d, parse_learner_spec("constant"), rows=np.zeros(d.n, bool))
+
 
 class TestFitJoint:
     def test_cell_probabilities_normalize(self):
@@ -398,3 +403,18 @@ class TestOracleNuisance:
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
             oracle_noisy_nuisance(margin_truth(), 100, 0.7, 2.25, seed=0)
+
+    def test_negative_scale_rejected(self):
+        with pytest.raises(ValueError, match="^h must be nonnegative$"):
+            oracle_noisy_nuisance(margin_truth(), 100, 0.3, -1.0, seed=0)
+
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_live_cell_at_0_or_1_rejected(self, value):
+        def pi_fn(x):
+            pi = np.full((len(x), 2, 2, 2), 0.25)
+            pi[:, 1, 0, 1] = value  # a live cell: the default mask marks none zero
+            return pi
+        truth = ClosedFormNuisance(lambda x: np.full(len(x), 0.5), pi_fn)
+        noisy = oracle_noisy_nuisance(truth, 50, 0.3, 2.25, seed=0)
+        with pytest.raises(ValueError, match="^only structurally-zero cells may be exactly 0/1$"):
+            noisy.truth_logits(gen_margin(50, 1))

@@ -108,6 +108,20 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(x=np.zeros((3, 1)), z=[0, 1], a=[0, 1], y=[0, 1])
 
+    def test_one_dimensional_x_is_one_column(self):
+        d = Dataset(x=np.arange(5.0), z=[0, 1, 0, 1, 0], a=[0, 1, 1, 0, 0],
+                    y=[0, 1, 0, 1, 1])
+        assert d.x.shape == (5, 1) and d.colnames == ["x0"]
+        np.testing.assert_array_equal(d.x[:, 0], np.arange(5.0))
+
+
+def test_column_in_two_roles_rejected():
+    # A repeated covariate, a covariate that is the outcome and an instrument that
+    # is the exposure: each column is named once.
+    with pytest.raises(ValueError, match=r"^columns mapped to more than one role: "
+                                         r"\['age', 'y', 'z'\]$"):
+        ColumnMapping(["age", "y", "age"], "z", "z", "y", weight="w")
+
 
 class TestLoadCsv:
     def test_four_row_toy_file(self, tmp_path):

@@ -669,6 +669,31 @@ class TestSoftmaxNewton:
         _, ref_history = reference_softmax_fit(model, x, labels, np.ones(200))
         assert model.history_[-1] >= ref_history[-1]
 
+    @staticmethod
+    def scaled_step_fit(factor):
+        """A fit whose Newton step is ``factor`` times the true one, the plain fit,
+        and how many objectives the scaled fit evaluated."""
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(3000, 3))
+        labels = (x @ rng.normal(size=(3, 4)) + rng.gumbel(size=(3000, 4))).argmax(axis=1)
+        model, evaluations = SoftmaxRegression(4), []
+        step, objective = model._newton_step, model._objective
+        model._newton_step = lambda *args: factor * step(*args)
+        model._objective = lambda *args: evaluations.append(1) or objective(*args)
+        model.fit(x, labels, np.ones(3000))
+        return model, SoftmaxRegression(4).fit(x, labels, np.ones(3000)), len(evaluations)
+
+    def test_overlong_step_is_halved(self):
+        model, plain, evaluations = self.scaled_step_fit(4.0)
+        assert evaluations > len(model.history_)  # some step was halved
+        assert np.all(np.diff(model.history_) >= 0)
+        assert model.history_[-1] == pytest.approx(plain.history_[-1], rel=1e-6)
+
+    def test_stops_when_no_halving_improves(self):
+        model, _, _ = self.scaled_step_fit(-1.0)  # every step descends
+        assert len(model.history_) == 1
+        assert not model.beta_.any()
+
 
 class TestFactory:
     @pytest.mark.parametrize("name", ["constant", "histogram", "knn", "softmax"])

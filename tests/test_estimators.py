@@ -386,9 +386,7 @@ class TestRowBlocks:
         assert (peaks[1] - peaks[0]) / (12 * ROW_BLOCK) <= 96
 
     def test_first_failing_block_reaches_caller(self, monkeypatch):
-        # Blocks 1 and 3 fail, and the blocks run in turn in the caller even where the
-        # fits would take two threads; block 1's error reaches the caller, and no
-        # thread outlives it.
+        # Blocks 1 and 3 fail; block 1's error reaches the caller, and no thread is left.
         monkeypatch.setattr(crossfit, "POOL_MIN_ROWS", 0)
         monkeypatch.setattr(crossfit, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(estimators, "ROW_BLOCK", 128)  # five blocks

@@ -123,20 +123,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(payload: dict, path: str | None) -> None:
     text = json.dumps({"schema_version": REPORT_SCHEMA_VERSION,
                        "software_version": __version__, **payload},
-                      indent=2, default=_jsonable)
+                      indent=2)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _resolved_config(args) -> dict:
@@ -147,8 +139,9 @@ def _resolved_config(args) -> dict:
 def _report(est, args, diagnostics) -> dict:
     lo, hi = wald_interval(est, args.delta)
     lower, upper = est.lower, est.upper
+    freqs = est.selection_frequencies()
     warnings = []
-    if est.crossed:
+    if est.lower > est.upper:
         warnings.append("estimated lower bound exceeds estimated upper bound")
     if args.clamp:
         lower, upper = max(lower, -1.0), min(upper, 1.0)
@@ -162,7 +155,7 @@ def _report(est, args, diagnostics) -> dict:
         "var_lower": est.var_lower,
         "var_upper": est.var_upper,
         "interval": {"lo": lo, "hi": hi, "level": 1.0 - args.delta},
-        "selection_frequencies": est.selection_frequencies(),
+        "selection_frequencies": freqs and {k: v.tolist() for k, v in freqs.items()},
         "diagnostics": diagnostics,
         "seed": args.seed,
         "config": _resolved_config(args),
@@ -211,7 +204,8 @@ def _cmd_bounds(args) -> int:
         diagnostics = {
             "propensity_range": [float(lam1.min()), float(lam1.max())],
             "simplex_max_violation": _simplex_max_violation(pi),
-            "nuisance": nuis.descriptor,
+            "nuisance": {"pi": pi_spec.name, "lambda": lam_spec.name,
+                         "folds": args.folds, "eps": args.eps},
         }
         est = (lse_bounds(data, lam1, pi, args.t) if args.method == "lse"
                else direct_bounds(data, lam1, pi))

@@ -208,7 +208,6 @@ class FoldedNuisances:
     lam1: np.ndarray = field(repr=False)     # (n,) out-of-fold lam1, read-only
     pi_learner: LearnerSpec
     joint: list[tuple]                       # per fold: (z=0, z=1) cells, None unfitted
-    descriptor: dict
     fitted_on: Dataset = field(repr=False)
     keep: bool = False                       # arms whose learner can keep neighbours do
 
@@ -281,9 +280,7 @@ def cross_fit(data: Dataset, n_folds: int, pi_learner: LearnerSpec,
 
     _fits(fit, [(k,) for k in range(n_folds)], data.n)
     lam1.flags.writeable = False
-    return FoldedNuisances(folds, lam1, pi_learner, [(None, None)] * n_folds,
-                           {"pi": pi_learner.name, "lambda": lambda_learner.name,
-                            "folds": n_folds, "eps": eps}, data)
+    return FoldedNuisances(folds, lam1, pi_learner, [(None, None)] * n_folds, data)
 
 
 @dataclass

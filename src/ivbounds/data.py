@@ -6,7 +6,7 @@ import copy
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class Dataset:
     a: np.ndarray          # (n,) exposure in {0, 1}, int8
     y: np.ndarray          # (n,) outcome
     w: np.ndarray | None = None  # (n,) weights, ones by default
-    colnames: list[str] = field(default_factory=list)
     outcome_kind: str = "binary"
 
     def __post_init__(self):
@@ -75,8 +74,6 @@ class Dataset:
         with np.errstate(over="ignore"):
             if not np.isfinite(self.w.sum()):  # every normalized weight would be 0
                 raise ValueError("weights sum to more than the largest float")
-        if not self.colnames:
-            self.colnames = [f"x{i}" for i in range(self.x.shape[1])]
 
     @property
     def n(self) -> int:
@@ -91,12 +88,10 @@ class Dataset:
         out = copy.copy(self)
         out.x, out.z, out.a, out.y, out.w = (
             v[idx] for v in (self.x, self.z, self.a, self.y, self.w))
-        out.colnames = list(self.colnames)
         return out
 
     def replace_outcome(self, y: np.ndarray, outcome_kind: str) -> "Dataset":
-        return Dataset(self.x, self.z, self.a, y, self.w,
-                       list(self.colnames), outcome_kind)
+        return Dataset(self.x, self.z, self.a, y, self.w, outcome_kind)
 
 
 @dataclass
@@ -193,7 +188,8 @@ def load_csv(path, mapping: ColumnMapping,
     do finite weights whose total overflows (``weight-total-overflow``, at the
     row where the running total first does).
     So does a field too long for ``csv`` in the header or in a record read
-    to find a bad cell (``field-too-large``).  An unknown ``outcome_kind``
+    to find a bad cell (``field-too-large``), and a header that names a mapped
+    column twice (``duplicate-column``).  An unknown ``outcome_kind``
     raises ``ValueError`` before the file is opened.
     """
     _check_outcome_kind(outcome_kind)
@@ -211,8 +207,9 @@ def load_csv(path, mapping: ColumnMapping,
             raise LoadError("empty-file", f"{path}: no header row")
         if missing := [c for c in required if c not in header]:
             raise LoadError("missing-column", f"{path}: columns not found: {missing}")
-        column = {name: i for i, name in enumerate(header)}  # last one wins
-        usecols = [column[c] for c in required]
+        if repeated := [c for c in required if header.count(c) > 1]:
+            raise LoadError("duplicate-column", f"{path}: header repeats columns: {repeated}")
+        usecols = [header.index(c) for c in required]
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # no data rows
@@ -221,8 +218,7 @@ def load_csv(path, mapping: ColumnMapping,
             if table.size:  # Dataset is the one check of the values
                 # Each column is its own copy, so none keeps the parsed table alive.
                 z, a, y, *w = (table[:, j].copy() for j in range(d, table.shape[1]))
-                return Dataset(table[:, :d].copy(), z, a, y, w[0] if w else None,
-                               colnames=list(mapping.covariates), outcome_kind=outcome_kind)
+                return Dataset(table[:, :d].copy(), z, a, y, w[0] if w else None, outcome_kind)
         except ValueError:  # the parse's or Dataset's; the row scan names the cell
             _raise_first_error(path, required, usecols, kinds)
     raise LoadError("empty-file", f"{path}: no data rows")

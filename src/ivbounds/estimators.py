@@ -91,7 +91,6 @@ class BoundEstimate:
     phi_upper: np.ndarray
     d_lower: np.ndarray | None
     d_upper: np.ndarray | None
-    crossed: bool
     extra: dict
 
     @property
@@ -131,7 +130,7 @@ def _finish(data, lower_phi, upper_phi, d_l, d_u, method, extra) -> BoundEstimat
         n=data.n, method=method,
         phi_lower=lower_phi, phi_upper=upper_phi,
         d_lower=d_l, d_upper=d_u,
-        crossed=lhat > uhat, extra=extra,
+        extra=extra,
     )
 
 

@@ -86,7 +86,7 @@ def gen_margin(n: int, seed: int, replicate: int = 0) -> Dataset:
     a = z
     u = rng.random(n)
     y = (rng.random(n) < u * (a * (1.0 - x[:, 0]) + (1 - a) * x[:, 0])).astype(float)
-    return Dataset(x=x, z=z, a=a, y=y, colnames=["x"])
+    return Dataset(x=x, z=z, a=a, y=y)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +125,7 @@ def gen_illustration(n: int, seed: int, appendix_compat: bool = False) -> Datase
     a = _ILLU_EXPOSURE[s, z]
     y = (rng.random(n) < _ILLU_BETA[s, a]).astype(float)
     return Dataset(x=np.column_stack([x1, x2]).astype(float), z=z,
-                   a=a.astype(int), y=y, colnames=["x1", "x2"])
+                   a=a.astype(int), y=y)
 
 
 def illustration_lambda1(x):

@@ -173,6 +173,18 @@ class TestBoundsCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "non-binary"
 
+    def test_repeated_header_column_exits_2(self, tmp_path, capsys):
+        # A second "y" holding 1 - y was the one read: negated bounds with exit 0.
+        csv = write_illustration_csv(tmp_path / "d.csv", n=200)
+        header, *rows = csv.read_text().splitlines()
+        csv.write_text(header + ",y\n" + "".join(f"{r},{1 - int(r[-1])}\n" for r in rows))
+        rc = main(["bounds", str(csv), *BOUNDS_ARGS, "--folds", "3"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "duplicate-column", "message": f"{csv}: header repeats columns: ['y']"}
+
     def test_non_finite_outcome_exits_2(self, tmp_path, capsys):
         csv = write_continuous_csv(tmp_path / "c.csv", bad_row=17)
         rc = main(["bounds", str(csv), *BOUNDS_ARGS, "--method", "continuous",
@@ -349,6 +361,15 @@ class TestBoundsCommand:
         assert rc == 0
         assert report["warnings"] == ["estimated lower bound exceeds estimated upper bound"]
         assert report["lower"] > report["upper"]
+
+    def test_nuisance_diagnostics_name_the_request(self, tmp_path, capsys):
+        csv = write_illustration_csv(tmp_path / "d.csv", n=300)
+        rc, report = run_json(capsys, [
+            "bounds", str(csv), *BOUNDS_ARGS, "--learner-pi", "knn:20",
+            "--learner-lambda", "known:0.5", "--folds", "3", "--eps", "0.02"])
+        assert rc == 0
+        assert list(report["diagnostics"]["nuisance"].items()) == [
+            ("pi", "knn"), ("lambda", "known"), ("folds", 3), ("eps", 0.02)]
 
     def test_output_file(self, tmp_path, capsys):
         csv = write_illustration_csv(tmp_path / "d.csv", n=300)

@@ -25,7 +25,6 @@ class TestDataset:
                     y=[0, 1, 0, 1])
         assert d.n == 4
         np.testing.assert_allclose(d.w, np.ones(4))
-        assert d.colnames == ["x0", "x1"]
 
     def test_instrument_and_exposure_are_int8(self):
         d = Dataset(x=np.zeros((3, 1)), z=np.array([0.0, 1.0, 1.0]), a=[True, False, True],
@@ -43,7 +42,7 @@ class TestDataset:
         rng = np.random.default_rng(5)
         d = Dataset(x=rng.random((40, 3)), z=rng.integers(0, 2, 40),
                     a=rng.integers(0, 2, 40), y=rng.integers(0, 2, 40),
-                    w=rng.uniform(0.5, 2.0, 40), colnames=["p", "q", "r"])
+                    w=rng.uniform(0.5, 2.0, 40))
         for idx in (np.array([7, 3, 3, 39]), np.arange(40) % 3 == 0, np.array([], int)):
             s = d.subset(idx)
             for field in ("x", "z", "a", "y", "w"):
@@ -52,14 +51,12 @@ class TestDataset:
                 assert got.dtype == want.dtype and got.shape == want.shape, field
                 np.testing.assert_array_equal(got, want)
             assert s.n == len(d.z[idx]) and s.outcome_kind == d.outcome_kind
-            assert s.colnames == d.colnames and s.colnames is not d.colnames
 
     def test_subset_preserves_metadata(self):
         d = Dataset(x=np.arange(6.0).reshape(3, 2), z=[0, 1, 0], a=[0, 1, 0],
-                    y=[0, 0, 1], colnames=["u", "v"])
+                    y=[0, 0, 1])
         s = d.subset(np.array([2, 0]))
         assert s.n == 2
-        assert s.colnames == ["u", "v"]
         np.testing.assert_allclose(s.x[0], [4.0, 5.0])
 
     def test_replace_outcome(self):
@@ -111,7 +108,7 @@ class TestDataset:
     def test_one_dimensional_x_is_one_column(self):
         d = Dataset(x=np.arange(5.0), z=[0, 1, 0, 1, 0], a=[0, 1, 1, 0, 0],
                     y=[0, 1, 0, 1, 1])
-        assert d.x.shape == (5, 1) and d.colnames == ["x0"]
+        assert d.x.shape == (5, 1)
         np.testing.assert_array_equal(d.x[:, 0], np.arange(5.0))
 
 
@@ -186,6 +183,18 @@ class TestLoadCsv:
             load_csv(p, MAPPING)
         assert exc.value.code == "missing-column"
 
+    def test_repeated_mapped_column(self, tmp_path):
+        # The header's last "y" was the one read; a repeated unmapped name still loads.
+        p = write_csv(tmp_path, "y,age,z,a,age,y\n0,30,0,0,31,1\n1,40,1,1,41,0\n")
+        with pytest.raises(LoadError) as exc:
+            load_csv(p, MAPPING)
+        assert exc.value.code == "duplicate-column"
+        assert str(exc.value) == f"{p}: header repeats columns: ['age', 'y']"
+        p = write_csv(tmp_path, "age,note,z,a,y,note\n30,u,0,0,0,v\n40,w,1,1,1,x\n", "u.csv")
+        d = load_csv(p, MAPPING)
+        np.testing.assert_array_equal(d.x[:, 0], [30.0, 40.0])
+        np.testing.assert_array_equal(d.y, [0.0, 1.0])
+
     def test_missing_field_cites_row(self, tmp_path):
         p = write_csv(tmp_path, "age,z,a,y\n30,0,0,0\n40,,1,1\n")
         with pytest.raises(LoadError) as exc:
@@ -241,6 +250,9 @@ def reference_load_csv(path, mapping, outcome_kind="binary"):
         missing = [c for c in required if c not in reader.fieldnames]
         if missing:
             raise LoadError("missing-column", f"{path}: columns not found: {missing}")
+        repeated = [c for c in required if reader.fieldnames.count(c) > 1]
+        if repeated:
+            raise LoadError("duplicate-column", f"{path}: header repeats columns: {repeated}")
 
         xs, zs, as_, ys, ws = [], [], [], [], []
         for row_no, row in enumerate(reader, start=1):
@@ -260,8 +272,7 @@ def reference_load_csv(path, mapping, outcome_kind="binary"):
     if not zs:
         raise LoadError("empty-file", f"{path}: no data rows")
     return Dataset(np.array(xs), np.array(zs), np.array(as_), np.array(ys),
-                   np.array(ws) if mapping.weight else None,
-                   colnames=list(mapping.covariates), outcome_kind=outcome_kind)
+                   np.array(ws) if mapping.weight else None, outcome_kind=outcome_kind)
 
 
 def load_outcome(loader, path, mapping, kind):
@@ -282,7 +293,7 @@ def assert_same_load(path, mapping, kind):
     for name in ("x", "z", "a", "y", "w"):
         g, w = getattr(got, name), getattr(want, name)
         assert g.dtype == w.dtype and np.array_equal(g, w), name
-    assert (got.colnames, got.outcome_kind) == (want.colnames, want.outcome_kind)
+    assert got.outcome_kind == want.outcome_kind
     return got
 
 
@@ -396,8 +407,8 @@ class TestLoaderMatchesReference:
         assert exc.value.code == "malformed-numeric"
 
     @pytest.mark.parametrize("text", [
-        "age,z,a,y,age\n1,0,0,0,5\n",          # duplicate header: last column wins
-        "age,z,a,y,age\n1,0,0,0\n",            # ... and is missing in a short row
+        "age,z,a,y,age\n1,0,0,0,5\n",          # duplicate header: duplicate-column
+        "age,z,a,y,age\n1,0,0,0\n",            # ... found before the short row
         '"age","z",a,y\n1,0,0,0\n',             # quoted header names
         'age,z,a,y\n" 1 ",0,0,0\n"1""",0,0,0\n',  # padded and broken quoted numbers
         "age,z,a,y,t\n1,0,0,0,\"open\n",       # unterminated final quote

@@ -1,5 +1,4 @@
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -7,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ivbounds.crossfit as crossfit
 import ivbounds.estimators as estimators
 from ivbounds.bounds import (
     _LOWER,
@@ -131,7 +129,7 @@ class TestDirectBounds:
         est = direct_bounds(d, lam1, pi)
         assert abs(est.lower) < 4 * est.se_lower
         assert abs(est.upper) < 4 * est.se_upper
-        assert not est.crossed or est.lower - est.upper < 4 * est.se_lower
+        assert not est.lower > est.upper or est.lower - est.upper < 4 * est.se_lower
 
     def test_influence_values_average_to_estimate(self):
         d = gen_margin(1000, 5)
@@ -387,15 +385,11 @@ class TestRowBlocks:
 
     def test_first_failing_block_reaches_caller(self, monkeypatch):
         # Blocks 1 and 3 fail; block 1's error reaches the caller, and no thread is left.
-        monkeypatch.setattr(crossfit, "POOL_MIN_ROWS", 0)
-        monkeypatch.setattr(crossfit, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(estimators, "ROW_BLOCK", 128)  # five blocks
         d, lam1, pi = TestInvariance.random_inputs(3, 640, True)
 
         def phi(kernel, rows):
             block = rows.start // 128
-            if block == 1:
-                time.sleep(0.2)
             if block in (1, 3):
                 raise ValueError(f"block {block} failed")
             return kernel.direct_phi()

@@ -9,8 +9,8 @@ The kernel is cell-major: it reads eight contiguous cell columns ``P[cell]``,
 cell = 4y + 2a + z, each of any leading shape, and builds each candidate as a
 chain of column adds and subtracts in ascending cell order.  The row-wise
 extremes come from a pairwise max/min tree and the 1-based selectors from
-the leading run of candidates that miss the extreme, so the first extreme
-wins, as ``argmax`` does.  Every element is computed
+the leading run of candidates that miss the extreme (uint8), so the first
+extreme wins, as ``argmax`` does.  Every element is computed
 by the same operations whatever the leading shape, so a law gives the same
 bits alone or in a stack.  The public ``theta_*`` functions are layout
 wrappers: they check pi once and return (..., 8) arrays.
@@ -120,14 +120,14 @@ def _first_extreme(cands: np.ndarray, extreme) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise ``extreme`` (``np.maximum`` or ``np.minimum``) of the
     candidate columns, and the 1-based index of the first candidate that
     attains it, as ``argmax``/``argmin`` pick it: one plus the length of the
-    leading run of candidates that miss the extreme."""
+    leading run of candidates that miss the extreme, as uint8."""
     value = cands
     while len(value) > 1:
         value = extreme(value[0::2], value[1::2])
     value = value[0]
     miss = cands != value
     run = miss[0, ...].copy()
-    index = run + 1
+    index = run + np.uint8(1)
     for k in range(1, len(cands) - 1):
         run &= miss[k]
         index += run
@@ -135,8 +135,9 @@ def _first_extreme(cands: np.ndarray, extreme) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _select(cands: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Each row's candidate at its 1-based ``index`` (rows,), by one flat take."""
-    return np.take(cands, (index - 1) * index.size + np.arange(index.size))
+    """Each row's candidate at its 1-based ``index`` (rows,), by one flat take;
+    the index is widened first, since a flat position overflows uint8."""
+    return np.take(cands, (index.astype(np.intp) - 1) * index.size + np.arange(index.size))
 
 
 def _profile(cells: np.ndarray):

@@ -204,7 +204,7 @@ class FoldedNuisances:
     ``fit_joint``), and keeps them for the next call.
     """
 
-    folds: np.ndarray                        # (n,) fold index per row, 0..K-1
+    folds: np.ndarray                        # (n,) fold index per row, 0..K-1, uint8
     lam1: np.ndarray = field(repr=False)     # (n,) out-of-fold lam1, read-only
     pi_learner: LearnerSpec
     joint: list[tuple]                       # per fold: (z=0, z=1) cells, None unfitted
@@ -249,7 +249,8 @@ def fold_assignment(u: np.ndarray, n_folds: int) -> np.ndarray:
     Rows are ranked by their draw and dealt round-robin, so sizes differ by
     at most one and a common permutation of rows and draws permutes the
     assignment identically.  Tied draws rank in row order (a stable sort);
-    distinct ones rank the same by NumPy's faster default sort.
+    distinct ones rank the same by NumPy's faster default sort.  The labels
+    come in the smallest unsigned type that holds them (uint8 below 257 folds).
     """
     order = np.argsort(u)
     s = np.take(u, order)
@@ -257,7 +258,8 @@ def fold_assignment(u: np.ndarray, n_folds: int) -> np.ndarray:
         order = np.argsort(u, kind="stable")
     ranks = np.empty(len(u), dtype=int)
     ranks[order] = np.arange(len(u))
-    return ranks % n_folds
+    ranks %= n_folds
+    return ranks.astype(np.min_scalar_type(n_folds - 1))
 
 
 def cross_fit(data: Dataset, n_folds: int, pi_learner: LearnerSpec,

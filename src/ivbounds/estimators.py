@@ -76,7 +76,7 @@ class BoundEstimate:
     ``phi_lower``/``phi_upper`` are the uncentered per-row contributions
     whose weighted means are ``lower``/``upper``; variances are weighted
     second moments about those means.  ``d_lower``/``d_upper`` hold the
-    1-based plug-in selector per row, or ``None`` when selection is not
+    1-based plug-in selector per row (uint8), or ``None`` when selection is not
     tracked (replicate-averaged estimates).  An estimate smoothed at
     temperature ``extra["t"]`` lies within ``smoothing_bias`` of each bound.
     """

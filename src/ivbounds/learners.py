@@ -68,15 +68,18 @@ class HistogramPartition:
 
     ``fit`` takes one training column at a time (``X[:, j].take(rows)``),
     argsorts it once and gathers its values and labels by the intp result; the
-    sorted positions are stored as int32.  A node carries, per feature, its
-    rows sorted by that feature, their values and, with unit weights, their
-    labels; a child takes its part of each (one ``take`` of the positions
-    ``np.flatnonzero`` finds on its side), so it stays sorted (presorted
-    CART: Breiman et al. 1984; SLIQ, Mehta et al. 1996).  Children at the
-    depth cap carry only their labels (and, with other weights, rows).  A
-    node's thresholds are read from its sorted columns by NumPy's ``linear``
-    quantile rule (virtual index ``(m - 1) q``, then NumPy's ``_lerp``), so
-    they equal ``np.quantile`` bitwise; -0.0 is stored as 0.0.  A binary
+    sorted positions are stored as int32.  A node carries, per feature, three
+    1-D arrays: its rows sorted by that feature, their values and, with unit
+    weights, their labels.  The children take their parts one feature at a
+    time, so each stays sorted (presorted CART: Breiman et al. 1984; SLIQ,
+    Mehta et al. 1996): the split feature's arrays are cut at the split, each
+    other one's are taken at the positions ``np.flatnonzero`` finds on each
+    side, and a feature's arrays are freed once both children hold their
+    parts.  Children at the depth cap carry only their labels (and, with other
+    weights, rows).  A node's thresholds are read from its sorted columns by
+    NumPy's ``linear`` quantile rule (virtual index ``(m - 1) q``, then
+    NumPy's ``_lerp``), so they equal ``np.quantile`` bitwise; -0.0 is stored
+    as 0.0.  A binary
     search of each sorted column gives the rows left of every threshold.
     With unit weights one ``np.bincount`` per feature of the sorted labels
     counts its (bin, class) cells: integer counts are exact in any order, so
@@ -89,9 +92,10 @@ class HistogramPartition:
     rejects non-finite training covariates or weights with ``ValueError``,
     and sorts nothing at depth 0 (the ``constant`` learner).  Rows are int32
     positions below 2**31 and labels uint8; a node frees its cells once
-    counted and each sorted array once its children hold their parts: about
-    85 traced bytes per training row with three features and unit weights
-    (102 with other weights), and no copy of the full arrays.
+    counted, so a fit never holds a node's arrays, a child's and an index
+    over the whole node at once: about 60 traced bytes per training row with
+    three features and unit weights (78 with other weights), and no copy of
+    the full arrays.
     """
 
     def __init__(self, n_classes: int, max_depth: int = 4, min_cell: int = 25,
@@ -114,21 +118,23 @@ class HistogramPartition:
         """Multinomial log-likelihood of the class counts on the last axis."""
         total = counts.sum(axis=-1, keepdims=True)
         ratio = np.divide(counts, total, out=np.ones(counts.shape), where=counts > 0)
-        return np.sum(counts * np.log(ratio), axis=-1)
+        return (counts * np.log(ratio)).sum(axis=-1)
 
     @staticmethod
     def _quantiles(cols, levels):
-        """``np.quantile(c, levels)`` of each sorted row ``c`` of ``cols``,
-        bitwise: NumPy's ``linear`` rule reads virtual index ``(m - 1) q``
-        between its neighbouring order statistics (the last one from index
-        m - 1 on) and interpolates as NumPy's ``_lerp`` does."""
-        m = cols.shape[1]
+        """``np.quantile(c, levels)`` of each sorted column ``c`` of ``cols`` (1-D
+        arrays of one length m), bitwise: NumPy's ``linear`` rule reads virtual
+        index ``(m - 1) q`` between its neighbouring order statistics (the last
+        one from index m - 1 on) and interpolates as NumPy's ``_lerp`` does."""
+        m = len(cols[0])
         pos = (m - 1) * levels
         above = pos >= m - 1
         lo = np.where(above, -1.0, np.floor(pos))
         gamma = pos - lo
         lo = lo.astype(np.intp)
-        a, b = cols[:, lo], cols[:, np.where(above, -1, lo + 1)]
+        at = np.concatenate([lo, np.where(above, -1, lo + 1)])  # one take per column
+        ab = np.array([c.take(at) for c in cols]).reshape(len(cols), 2, -1)
+        a, b = ab[:, 0], ab[:, 1]
         diff = b - a
         out = a + diff * gamma
         np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
@@ -136,21 +142,35 @@ class HistogramPartition:
 
     def _presort(self, X, rows, labels, pos):
         """Check each training column finite; unless at depth 0, return per feature its
-        rows in sorted order (dtype ``pos``), their values and, given ``labels``, theirs."""
-        n = X.shape[0] if rows is None else len(rows)
-        sort = None if self.max_depth == 0 else [
-            np.empty((X.shape[1], n), dtype=pos), np.empty((X.shape[1], n)),
-            None if labels is None else np.empty((X.shape[1], n), dtype=labels.dtype)]
+        rows in sorted order (dtype ``pos``), their values and their ``labels`` or None."""
+        sort = []
         for j in range(X.shape[1]):  # one training column at a time
             col = X[:, j] if rows is None else X[:, j].take(rows)
             if not np.all(np.isfinite(col)):
                 raise ValueError("histogram fit needs finite covariates and weights")
-            if sort is not None:
+            if self.max_depth:
                 order = np.argsort(col)  # intp: it gathers faster than int32
-                sort[0][j], sort[1][j] = order, col.take(order)
-                if labels is not None:
-                    sort[2][j] = labels.take(order)
+                sort.append([order.astype(pos), col.take(order),
+                             None if labels is None else labels.take(order)])
         return sort
+
+    @staticmethod
+    def _part(sort, j, e, is_left):
+        """Each child's per-feature ``[rows, values, labels]``, one feature at a time:
+        the split feature ``j`` cut at ``e``, the others where ``is_left`` says.  Each
+        feature leaves ``sort`` as it is read, freed once both children hold their parts."""
+        parts = ([], [])
+        for f in range(len(sort)):
+            arrays, sort[f] = sort[f], None
+            if f == j:
+                for part, cut in zip(parts, (slice(None, e), slice(e, None))):
+                    part.append([a if a is None else a[cut].copy() for a in arrays])
+            else:
+                go = is_left.take(arrays[0])
+                for part, g in zip(parts, (go, ~go)):
+                    g = np.flatnonzero(g)
+                    part.append([a if a is None else a.take(g) for a in arrays])
+        return parts
 
     def fit(self, X, labels, w, rows=None):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -174,8 +194,8 @@ class HistogramPartition:
         is_left = np.empty(n, dtype=bool)
         self.tree_ = {}
         # (node, depth, labels (in row order if weighted), rows in row order
-        # or None, (rows, values, labels) sorted per feature or None at the
-        # cap, class counts or None)
+        # or None, per feature [rows, values, labels] sorted by it, or None at
+        # the cap, class counts or None)
         stack = [(self.tree_, 0, labels, rows, sort, None)]
         while stack:
             node, depth, lab, rows, sort, total = stack.pop()
@@ -186,59 +206,61 @@ class HistogramPartition:
             m = len(lab)
             if depth >= self.max_depth or m < 2 * self.min_cell or d == 0:
                 continue
-            order, col, slab = sort
-            thr = self._quantiles(col, levels)
+            thr = self._quantiles([col for _, col, _ in sort], levels)
             thr.sort(axis=1)
             # bounds[j, i + 1] rows have feature j <= thr[j, i]; the rows
             # with feature j in (thr[j, i - 1], thr[j, i]] fall in bin i.
             bounds = np.empty((d, n_bins + 1), dtype=np.intp)
             bounds[:, 0], bounds[:, -1] = 0, m
+            for j, (_, col, _) in enumerate(sort):
+                bounds[j, 1:-1] = col.searchsorted(thr[j], side="right")
+            sizes = bounds[:, 1:] - bounds[:, :-1]
             counts = np.empty((d, n_bins, k), dtype=np.intp if rows is None else float)
-            for j in range(d):  # one feature's bins and (bin, class) cells at a time
-                bounds[j, 1:-1] = col[j].searchsorted(thr[j], side="right")
-                cell = offsets.repeat(np.diff(bounds[j]))
+            for j, (order, _, slab) in enumerate(sort):  # one feature's (bin, class) cells
+                cell = offsets.repeat(sizes[j])
                 if rows is None:  # unit weights: integer counts, exact in any order
-                    cell += slab[j]
+                    cell += slab
                 else:  # each row's cell back in row order, to sum weights in it
-                    cell_of[order[j]] = cell
+                    cell_of[order] = cell
                     cell = cell_of.take(rows)
                     cell += lab
                 counts[j] = np.bincount(cell, wt, n_bins * k).reshape(n_bins, k)
-            del cell
+            del order, col, slab, cell  # sort alone holds the sorted arrays
             edges = bounds[:, 1:-1]
-            # Counts left of each threshold, and right of each in reverse.
-            sides = np.empty((2, d, n_bins - 1, k))
-            np.cumsum(counts[:, :-1], axis=1, out=sides[0])
-            np.cumsum(counts[:, :0:-1], axis=1, out=sides[1])
-            left, right = self._loglik(sides)
-            base = self._loglik(total)
-            gain = left + right[:, ::-1] - base
+            # Counts left of each threshold, and right of each in reverse, then
+            # the node's: one log-likelihood for all.
+            sides = np.empty((2 * d * (n_bins - 1) + 1, k))
+            left, right = sides[:-1].reshape(2, d, n_bins - 1, k)
+            counts[:, :-1].cumsum(axis=1, out=left)
+            counts[:, :0:-1].cumsum(axis=1, out=right)
+            sides[-1] = total
+            loglik = self._loglik(sides)
+            gain = loglik[:-1].reshape(2, d, n_bins - 1)
+            gain = gain[0] + gain[1, :, ::-1] - loglik[-1]
             gain[(edges < self.min_cell) | (m - edges < self.min_cell)] = -np.inf
             best = gain.argmax(axis=1)
-            j = int(np.argmax(gain[np.arange(d), best]))
+            j = int(gain.max(axis=1).argmax())
             i = best[j]
             if not gain[j, i] > 1e-12:
                 continue
             node.update(feature=j, threshold=thr[j, i] + 0.0, left={}, right={})  # no -0.0
             e = edges[j, i]
-            is_left[order[j, :e]] = True
-            is_left[order[j, e:]] = False
+            order, _, slab = sort[j]
+            is_left[order[:e]] = True
+            is_left[order[e:]] = False
             if rows is None:  # the split feature's sorted labels, cut at e, and their counts
-                kids = [[slab[j, :e], None, None, sides[0, j, i]],
-                        [slab[j, e:], None, None, sides[1, j, n_bins - 2 - i]]]
+                kids = [[slab[:e], None, None, left[j, i]],
+                        [slab[e:], None, None, right[j, n_bins - 2 - i]]]
             else:
                 go = is_left.take(rows)
                 kids = [[np.compress(g, lab), np.compress(g, rows), None, None]
                         for g in (go, ~go)]
+            del order, slab
             if depth + 1 < self.max_depth:  # children at the cap carry no sorts
-                go = is_left.take(order).ravel()
-                sort = list(sort)
-                del order, col, slab  # the sorted arrays are now held by sort alone
-                for kid, g in zip(kids, (go, ~go)):
-                    g = np.flatnonzero(g)
-                    # The right child pops each array, freed once it has taken its part.
-                    arrays = sort if kid is kids[0] else (sort.pop(0) for _ in range(3))
-                    kid[2] = [a if a is None else a.take(g).reshape(d, -1) for a in arrays]
+                for kid, part in zip(kids, self._part(sort, j, e, is_left)):
+                    kid[2] = part
+                    if rows is None:  # its own copy of the split feature's labels
+                        kid[0] = part[j][2]
             stack.append((node["right"], depth + 1, *kids[1]))
             stack.append((node["left"], depth + 1, *kids[0]))
         return self
@@ -351,18 +373,22 @@ class SoftmaxRegression:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.hstack([np.ones((X.shape[0], 1)), X])
 
+    # Row maxima and sums are column chains in the order NumPy reduces a short last axis
+    # (a sum from +0.0): for 2 and 4 classes, the bits of ``.max``/``.sum(axis=1)``.
+
     @staticmethod
     def _proba(phi, beta):
         logits = phi @ beta
-        logits -= logits.max(axis=1, keepdims=True)
+        logits -= functools.reduce(np.maximum, logits.T)[:, None]
         expl = np.exp(logits)
-        return expl / expl.sum(axis=1, keepdims=True)
+        return expl / functools.reduce(np.add, expl.T)[:, None]
 
     def _objective(self, phi, onehot, w, beta):
         logits = phi @ beta
-        shift = logits.max(axis=1, keepdims=True)
-        logz = shift[:, 0] + np.log(np.exp(logits - shift).sum(axis=1))
-        ll = float(np.sum(w * (np.sum(onehot * logits, axis=1) - logz)))
+        shift = functools.reduce(np.maximum, logits.T)
+        logz = shift + np.log(functools.reduce(np.add, np.exp(logits - shift[:, None]).T))
+        picked = functools.reduce(np.add, (onehot * logits).T, 0.0)
+        ll = float(np.sum(w * (picked - logz)))
         return ll - 0.5 * self.ridge * float(np.sum(beta**2))
 
     def _newton_step(self, phi, onehot, w, beta):

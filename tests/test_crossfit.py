@@ -101,6 +101,21 @@ class TestRngStreams:
                 draws[path] = tuple(rng_stream(*path).random(4))
         assert len(set(draws.values())) == len(draws)
 
+    def test_readme_paths_alias_only_by_trailing_zeros(self):
+        # Every path README "Reproducibility" lists, for three seeds and replicates
+        # 0-4, with the paths that replicate 0 pads to: two draw alike only for
+        # (s, 1, 0), (s, 10, 0) and (s, 20, 0), which are (s, 1), (s, 10) and (s, 20).
+        groups = {}
+        for s in (0, 7, 2**32 - 1):
+            paths = [(s, 0), (s, 11), (s, 99), (s, 1), (s, 10), (s, 20)]
+            paths += [(s, purpose, rep) for purpose in (1, 10, 20) for rep in range(5)]
+            for path in paths:
+                groups.setdefault(rng_stream(*path).random(4).tobytes(), []).append(path)
+        aliases = sorted(sorted(g) for g in groups.values() if len(g) > 1)
+        assert aliases == sorted([(s, purpose), (s, purpose, 0)] for s in (0, 7, 2**32 - 1)
+                                 for purpose in (1, 10, 20))
+        assert sum(map(len, groups.values())) == 3 * 21
+
     @pytest.mark.parametrize("path", [(2**32 + 5, 10), (5, 1, 2**32), (-1,), (0, -3)])
     def test_entries_outside_32_bits_rejected(self, path):
         # SeedSequence splits 2**32 + 5 into the words (5, 1), so the path

@@ -245,8 +245,8 @@ def reference_psi_correction(data, lam1, pi):
 
 
 def reference_estimates(data, lam1, pi, t):
-    """Per-row contributions and 1-based selectors of the direct, plug-in and
-    smooth estimators, each building its own candidates and correction."""
+    """Per-row contributions and 1-based uint8 selectors of the direct, plug-in
+    and smooth estimators, each building its own candidates and correction."""
     rows = np.arange(data.n)
     out = {}
     th_l, th_u = theta_lower(pi), theta_upper(pi)
@@ -258,7 +258,7 @@ def reference_estimates(data, lam1, pi, t):
     out["lse"] = (
         lse(th_l, t) + np.sum(lse_grad(th_l, t) * theta_lower_linear(c), axis=-1),
         -lse(-th_u, t) + np.sum(lse_grad(-th_u, t) * theta_upper_linear(c), axis=-1))
-    return out, d_l + 1, d_u + 1
+    return out, (d_l + 1).astype(np.uint8), (d_u + 1).astype(np.uint8)
 
 
 class TestKernelMatchesReference:
@@ -281,6 +281,17 @@ class TestKernelMatchesReference:
            unit_weights=st.booleans())
     def test_random_inputs(self, seed, n, unit_weights):
         self.check(*TestInvariance.random_inputs(seed, n, unit_weights))
+
+    @pytest.mark.parametrize("n", [257, 1000])
+    def test_selectors_past_uint8_rows(self, n):
+        # The selectors are uint8; the flat position (index - 1) * rows + row
+        # of a selected candidate overflows uint8 from 257 rows on, so it is
+        # widened first.  The reference selects with int64 argmax indices.
+        d, lam1, pi = TestInvariance.random_inputs(n, n, False)
+        self.check(d, lam1, pi)
+        est = direct_bounds(d, lam1, pi)
+        assert est.d_lower.dtype == est.d_upper.dtype == np.uint8
+        assert len(np.unique(est.d_lower)) > 1 and len(np.unique(est.d_upper)) > 1
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_margin_truth_with_ties(self, seed):

@@ -185,6 +185,25 @@ class TestSharedExponential:
             assert got.tobytes() == ref.tobytes()
             assert public.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("t", [1.0, 1778.2794100389228])
+    def test_underflowing_exponentials_bitwise(self, t):
+        # exp(t gap) is skipped below -746, where it is exactly +0.0; just
+        # above lie its subnormal results (-745.13, -708.4) and its last
+        # normal ones, which must keep their bits.
+        rng = np.random.default_rng(5)
+        edges = [-800.0, -746.0, -745.5, -745.1332, -745.13, -745.0, -720.0,
+                 -708.4, -708.39, -700.0, -1.0, 0.0]
+        gaps = np.concatenate([edges, rng.uniform(-800.0, 0.0, 4000),
+                               rng.uniform(-745.2, -708.3, 4000)])
+        v = np.column_stack([np.zeros(len(gaps) // 7 + 1)] + [
+            np.resize(rng.permutation(gaps), len(gaps) // 7 + 1) for _ in range(7)]) / t
+        assert np.any(t * v < -746.0) and np.any((t * v > -745.13) & (t * v < -708.4))
+        value, grad = _lse_and_grad(v, t)
+        assert value.tobytes() == reference_lse(v, t).tobytes()
+        assert grad.tobytes() == reference_lse_grad(v, t).tobytes()
+        assert lse(v, t).tobytes() == value.tobytes()
+        assert lse_grad(v, t).tobytes() == grad.tobytes()
+
     def test_tied_maxima(self):
         v = np.array([[0.5, 0.5, 0.0, -1.0, 0.5, 0.2, -3.0, 0.1],
                       [-0.0, 0.0, -2.0, -2.0, -2.0, -2.0, -2.0, -2.0]])
